@@ -41,60 +41,15 @@ from dataclasses import dataclass, fields
 from itertools import product
 from typing import Optional
 
-from .engines import (
-    count_nd_positions,
-    count_subset_positions,
-    count_vc_positions,
-    solve_naive,
-    solve_nd,
-    solve_subset,
-    solve_tree,
-    solve_vc,
-)
-from .engines.tree import _check_gray_forest
-from .generators import (
-    gen_caterpillar_kayles,
-    gen_grid,
-    gen_lower_nd,
-    gen_lower_vc,
-    gen_random,
-    lower_nd_clique_vertices,
-)
+from .engines import ENGINE_NAMES, run_engine
+from .engines import pick_auto_engine  # noqa: F401  (stays importable from here)
+from .generators import GENERATORS, lower_nd_clique_vertices
 from .graph import ColoredGraph, Player
 from .params import min_vertex_cover, nd_partition
-
-ENGINE_NAMES = ("naive", "subset", "vc", "nd", "tree", "auto")
-
-_SOLVERS = {
-    "naive": solve_naive,
-    "subset": solve_subset,
-    "vc": solve_vc,
-    "nd": solve_nd,
-    "tree": solve_tree,
-}
-
-_COUNTERS = {
-    "subset": count_subset_positions,
-    "vc": count_vc_positions,
-    "nd": count_nd_positions,
-}
 
 
 class BenchConsistencyError(RuntimeError):
     """Engines disagreed about a winner."""
-
-
-def pick_auto_engine(g: ColoredGraph, vc_threshold: int = 8) -> str:
-    """tree for gray forests, vc for small covers, subset otherwise."""
-    try:
-        _check_gray_forest(g, g.alive)
-    except ValueError:
-        pass
-    else:
-        return "tree"
-    if min_vertex_cover(g).size <= vc_threshold:
-        return "vc"
-    return "subset"
 
 
 @dataclass
@@ -133,29 +88,24 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-_GENERATORS = {
-    "grid": (gen_grid, ("rows", "cols", "variant")),
-    "caterpillar": (gen_caterpillar_kayles, ("pins",)),
-    "lower-vc": (gen_lower_vc, ("k",)),
-    "lower-nd": (gen_lower_nd, ("k", "s")),
-    "random": (gen_random, ("n", "p", "weights", "seed")),
-}
-
-
 def expand_suite(spec: dict) -> list[_Task]:
     base_turn = Player.parse(spec.get("turn", "B"))
     base_engines = tuple(spec.get("engines", ("subset",)))
     seed_counter = int(spec.get("seed", 0))
     tasks: list[_Task] = []
     for entry in spec.get("suites", ()):
+        if not isinstance(entry, dict) or "generator" not in entry:
+            raise ValueError('every suite entry must be an object with a "generator"')
         name = entry["generator"]
-        if name not in _GENERATORS:
+        if name not in GENERATORS:
             raise ValueError(f"unknown generator {name!r}")
-        fn, param_names = _GENERATORS[name]
+        fn, param_names = GENERATORS[name]
         grid = entry.get("grid", {})
-        for key in grid:
+        for key, values in grid.items():
             if key not in param_names or key == "seed":
                 raise ValueError(f"generator {name!r} does not take parameter {key!r}")
+            if not isinstance(values, list):
+                raise ValueError(f"generator {name!r}: {key!r} must be a list of values")
         turn = Player.parse(entry.get("turn", base_turn.value))
         engines = tuple(entry.get("engines", base_engines))
         for eng in engines:
@@ -177,7 +127,10 @@ def expand_suite(spec: dict) -> list[_Task]:
                     seed_counter += 1
                 if isinstance(params.get("weights"), list):
                     params["weights"] = tuple(params["weights"])
-                graph = fn(**params)
+                try:
+                    graph = fn(**params)
+                except TypeError as exc:  # a value of the wrong JSON type
+                    raise ValueError(f"generator {name!r} given {params}: {exc}") from None
                 param_str = ",".join(f"{k}={_fmt_value(params[k])}" for k in sorted(params))
                 restrict_to = (
                     lower_nd_clique_vertices(params["k"], params["s"]) if restrict else None
@@ -198,19 +151,12 @@ def expand_suite(spec: dict) -> list[_Task]:
 
 def _run_engine(task: _Task, engine: str):
     """Returns (winner string or '', stats)."""
-    g, turn = task.graph, task.turn
-    if engine == "auto":
-        engine = pick_auto_engine(g)
+    _, result = run_engine(
+        engine, task.graph, task.turn, task.count_mode, restrict_to=task.restrict_to
+    )
     if task.count_mode:
-        if engine not in _COUNTERS:
-            raise ValueError(f"count mode is not supported for engine {engine!r}")
-        if engine == "nd":
-            stats = count_nd_positions(g, turn, restrict_to=task.restrict_to)
-        else:
-            stats = _COUNTERS[engine](g, turn)
-        return "", stats
-    outcome = _SOLVERS[engine](g, turn)
-    return outcome.winner.value, outcome.stats
+        return "", result
+    return result.winner.value, result.stats
 
 
 def run_bench(spec: dict, timing: bool = False) -> list[BenchRecord]:

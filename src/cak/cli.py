@@ -12,28 +12,16 @@ import json
 import sys
 from typing import Optional
 
-from .bench import BenchConsistencyError, pick_auto_engine, records_to_csv, run_bench
+from .bench import BenchConsistencyError, records_to_csv, run_bench
 from .engines import (
+    COUNTERS,
+    ENGINE_NAMES,
+    GRUNDY,
     count_ak_subtrees,
-    count_nd_positions,
     count_nk_subtrees,
-    count_subset_positions,
-    count_vc_positions,
-    grundy_naive,
-    grundy_tree,
-    solve_naive,
-    solve_nd,
-    solve_subset,
-    solve_tree,
-    solve_vc,
+    run_engine,
 )
-from .generators import (
-    gen_caterpillar_kayles,
-    gen_grid,
-    gen_lower_nd,
-    gen_lower_vc,
-    gen_random,
-)
+from .generators import GENERATORS
 from .graph import ParseError, Player, parse_graph, serialize_graph
 from .params import equivalence_classes, min_vertex_cover, nd_partition
 
@@ -43,13 +31,16 @@ def _read_graph(path: str):
         return parse_graph(fh.read())
 
 
-def _emit(obj, out: Optional[str] = None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(obj) -> None:
+    _write(json.dumps(obj, indent=2) + "\n", None)
 
 
 def _stats_json(stats, timing: bool) -> dict:
@@ -74,93 +65,53 @@ def _parse_cover(text: str) -> list[int]:
 def _load_partition(path: str) -> list[list[int]]:
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, list) or not all(isinstance(m, list) for m in data):
-        raise ValueError("partition file must be a JSON list of vertex-id lists")
+    if not isinstance(data, list) or not all(
+        isinstance(m, list) and all(type(v) is int for v in m) for m in data
+    ):
+        raise ValueError("partition file must be a JSON list of integer vertex-id lists")
     return [[v - 1 for v in module] for module in data]
 
 
 def _cmd_solve(args) -> int:
     g = _read_graph(args.file)
     turn = Player.parse(args.first)
-    engine = args.engine
-    if engine == "auto":
-        engine = pick_auto_engine(g, args.vc_threshold)
-    cover = _parse_cover(args.cover) if args.cover else None
-    partition = _load_partition(args.partition) if args.partition else None
-    if args.count_mode:
-        if engine == "subset":
-            stats = count_subset_positions(g, turn, args.max_n)
-        elif engine == "vc":
-            stats = count_vc_positions(g, turn, cover)
-        elif engine == "nd":
-            stats = count_nd_positions(g, turn, partition)
-        else:
-            raise ValueError(f"count mode is not supported for engine {engine!r}")
-        _emit({"engine": engine, "first": turn.value, "stats": _stats_json(stats, args.timing)})
-        return 0
-    if engine == "naive":
-        outcome = solve_naive(g, turn)
-    elif engine == "subset":
-        outcome = solve_subset(g, turn, args.max_n)
-    elif engine == "vc":
-        outcome = solve_vc(g, turn, cover)
-    elif engine == "nd":
-        outcome = solve_nd(g, turn, partition)
-    elif engine == "tree":
-        outcome = solve_tree(g, turn)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    move = outcome.winning_move
-    _emit(
-        {
-            "engine": engine,
-            "first": turn.value,
-            "winner": outcome.winner.value,
-            "winning_move": [move[0] + 1, move[1] + 1] if move else None,
-            "stats": _stats_json(outcome.stats, args.timing),
-        }
+    engine, result = run_engine(
+        args.engine,
+        g,
+        turn,
+        args.count_mode,
+        args.vc_threshold,
+        max_n=args.max_n,
+        cover=_parse_cover(args.cover) if args.cover else None,
+        partition=_load_partition(args.partition) if args.partition else None,
     )
+    report = {"engine": engine, "first": turn.value}
+    if args.count_mode:
+        report["stats"] = _stats_json(result, args.timing)
+    else:
+        move = result.winning_move
+        report["winner"] = result.winner.value
+        report["winning_move"] = [move[0] + 1, move[1] + 1] if move else None
+        report["stats"] = _stats_json(result.stats, args.timing)
+    _emit(report)
     return 0
 
 
 def _cmd_grundy(args) -> int:
     g = _read_graph(args.file)
-    if args.engine == "naive":
-        value = grundy_naive(g)
-    else:
-        value = grundy_tree(g)
-    _emit({"engine": args.engine, "grundy": value})
+    _emit({"engine": args.engine, "grundy": GRUNDY[args.engine](g)})
     return 0
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "grid":
-        g = gen_grid(args.rows, args.cols, args.variant)
-        header = f"c grid rows={args.rows} cols={args.cols} variant={args.variant}"
-    elif args.kind == "caterpillar":
-        g = gen_caterpillar_kayles(args.pins)
-        header = f"c caterpillar pins={args.pins}"
-    elif args.kind == "lower-vc":
-        g = gen_lower_vc(args.k)
-        header = f"c lower-vc k={args.k}"
-    elif args.kind == "lower-nd":
-        g = gen_lower_nd(args.k, args.s)
-        header = f"c lower-nd k={args.k} s={args.s}"
-    else:
-        weights = tuple(int(x) for x in args.weights.split(","))
-        if len(weights) != 3:
+    fn, param_names = GENERATORS[args.kind]
+    params = {name: getattr(args, name) for name in param_names}
+    header = " ".join(["c", args.kind, *(f"{k}={v}" for k, v in params.items())])
+    if "weights" in params:
+        params["weights"] = tuple(int(x) for x in args.weights.split(","))
+        if len(params["weights"]) != 3:
             raise ValueError("weights must be three comma-separated integers")
-        g = gen_random(args.n, args.p, weights, args.seed)
-        header = (
-            f"c random n={args.n} p={args.p}"
-            f" weights={args.weights} seed={args.seed}"
-        )
-    text = header + "\n" + serialize_graph(g)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(header + "\n" + serialize_graph(fn(**params)), args.output)
     return 0
 
 
@@ -200,12 +151,7 @@ def _cmd_bench(args) -> int:
     with open(args.suite) as fh:
         spec = json.load(fh)
     records = run_bench(spec, timing=args.timing)
-    text = records_to_csv(records)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(records_to_csv(records), args.output)
     return 0
 
 
@@ -223,15 +169,15 @@ def build_parser() -> argparse.ArgumentParser:
         "-e",
         "--engine",
         default="auto",
-        choices=["naive", "subset", "vc", "nd", "tree", "auto"],
+        choices=ENGINE_NAMES,
     )
-    p.add_argument("--max-n", type=int, default=32, help="subset engine capacity")
+    p.add_argument("--max-n", type=int, help="subset engine capacity (default 32)")
     p.add_argument("--cover", help="comma-separated 1-based cover for the vc engine")
     p.add_argument("--partition", help="JSON file of 1-based modules for the nd engine")
     p.add_argument(
         "--count-mode",
         action="store_true",
-        help="full-expansion instrumentation (no short-circuit; subset/vc/nd)",
+        help=f"full-expansion instrumentation (no short-circuit; {'/'.join(COUNTERS)})",
     )
     p.add_argument("--vc-threshold", type=int, default=8, help="auto: use vc when tau <= this")
     p.add_argument("--timing", action="store_true", help="include elapsed seconds")
@@ -239,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grundy", help="Sprague-Grundy value of a gray position")
     p.add_argument("-f", "--file", required=True)
-    p.add_argument("-e", "--engine", default="tree", choices=["naive", "tree"])
+    p.add_argument("-e", "--engine", default="tree", choices=list(GRUNDY))
     p.set_defaults(func=_cmd_grundy)
 
     p = sub.add_parser("gen", help="write a generated instance as .cak")

@@ -1,17 +1,25 @@
-"""Winner-determination engines.
+"""Winner-determination engines and the registry that names them.
 
 naive   exhaustive recursion, no memo (the reference oracle)
 subset  memo on (alive bitmask, turn)
 vc      memo on cover-class keys, moves thinned to representatives
 nd      memo on per-module survivor counts
 tree    Sprague-Grundy on gray forests, canonical-form memo
+
+subset, vc and nd share one memoized search (common.search) and differ
+only in their memo key and candidate moves.
 """
 
+from inspect import signature
+
+from ..graph import ColoredGraph, Player
+from ..params import min_vertex_cover
 from .common import CapacityError, Outcome, SearchStats
 from .naive import grundy_naive, solve_naive
 from .nd import count_nd_positions, solve_nd
 from .subset import count_subset_positions, solve_subset
 from .tree import (
+    check_gray_forest,
     count_ak_subtrees,
     count_nk_subtrees,
     grundy_tree,
@@ -20,7 +28,70 @@ from .tree import (
 )
 from .vc import count_vc_positions, solve_vc, vc_canonical_key
 
+# Engine name -> solver; -> count-mode (no short-circuit) search; and,
+# for all-gray positions, -> Sprague-Grundy value.
+SOLVERS = {
+    "naive": solve_naive,
+    "subset": solve_subset,
+    "vc": solve_vc,
+    "nd": solve_nd,
+    "tree": solve_tree,
+}
+COUNTERS = {
+    "subset": count_subset_positions,
+    "vc": count_vc_positions,
+    "nd": count_nd_positions,
+}
+GRUNDY = {"naive": grundy_naive, "tree": grundy_tree}
+ENGINE_NAMES = (*SOLVERS, "auto")
+
+
+def pick_auto_engine(g: ColoredGraph, vc_threshold: int = 8) -> str:
+    """tree for gray forests, vc for small covers, subset otherwise."""
+    try:
+        check_gray_forest(g, g.alive)
+    except ValueError:
+        pass
+    else:
+        return "tree"
+    if min_vertex_cover(g).size <= vc_threshold:
+        return "vc"
+    return "subset"
+
+
+def run_engine(
+    name: str,
+    g: ColoredGraph,
+    turn: Player,
+    count_mode: bool,
+    vc_threshold: int = 8,
+    **options,
+):
+    """Run engine name ("auto" picks one) from the registry on g.
+
+    Returns (engine that ran, its Outcome, or its SearchStats in count
+    mode). Options that are set (not None) are passed by keyword; one
+    the engine takes no parameter for raises ValueError naming the
+    engine, so an option meant for another engine is never ignored.
+    """
+    engine = pick_auto_engine(g, vc_threshold) if name == "auto" else name
+    fn = (COUNTERS if count_mode else SOLVERS).get(engine)
+    if fn is None and count_mode:
+        raise ValueError(f"count mode is not supported for engine {engine!r}")
+    if fn is None:
+        raise ValueError(f"unknown engine {engine!r}")
+    kwargs = {key: value for key, value in options.items() if value is not None}
+    unknown = sorted(kwargs.keys() - signature(fn).parameters.keys())
+    if unknown:
+        raise ValueError(f"option {unknown[0]} does not apply to engine {engine!r}")
+    return engine, fn(g, turn, **kwargs)
+
+
 __all__ = [
+    "COUNTERS",
+    "ENGINE_NAMES",
+    "GRUNDY",
+    "SOLVERS",
     "CapacityError",
     "Outcome",
     "SearchStats",
@@ -31,6 +102,8 @@ __all__ = [
     "count_vc_positions",
     "grundy_naive",
     "grundy_tree",
+    "pick_auto_engine",
+    "run_engine",
     "solve_naive",
     "solve_nd",
     "solve_subset",

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from time import perf_counter
+from typing import Callable, Hashable, Iterable, Optional
 
 from ..graph import ColoredGraph, Player
 
@@ -38,6 +39,60 @@ class Outcome:
     winner: Player
     winning_move: Optional[tuple[int, int]]
     stats: SearchStats
+
+
+Move = tuple[int, int, int]  # (u, v, bitmask of u and v)
+
+
+def playable_edges(g: ColoredGraph, player: Player) -> tuple[Move, ...]:
+    return tuple((u, v, 1 << u | 1 << v) for u, v, c in g.edges if player.can_play(c))
+
+
+def search(
+    g: ColoredGraph,
+    turn: Player,
+    key: Callable[[int, Player], Hashable],
+    moves: Callable[[int, Player, Hashable], Iterable[Move]],
+    short_circuit: bool,
+    started: float,
+) -> Outcome:
+    """Memoized win/loss search from g's alive vertices, turn to move.
+
+    key(mask, player) names the class of positions sharing a game value;
+    moves(mask, player, k) lists the candidate moves of a position whose
+    key k was just computed. A candidate whose endpoints are not both
+    alive is skipped. With short_circuit off, every child is evaluated,
+    so the stats cover the whole memoized recursion tree. started is
+    the perf_counter() reading the elapsed time is measured from, so an
+    engine's set-up (cover, partition) counts too.
+    """
+    memo: dict = {}
+    stats = SearchStats()
+
+    def first_win(mask: int, player: Player):
+        """Truthy iff the mover wins. An expanded position returns its
+        first winning candidate (u, v) or None; a memo hit, the stored bool."""
+        stats.node_expansions += 1
+        k = key(mask, player)
+        cached = memo.get(k)
+        if cached is not None:
+            stats.memo_hits += 1
+            return cached
+        found = None
+        opp = player.opponent
+        for u, v, em in moves(mask, player, k):
+            if mask & em == em and not first_win(mask & ~em, opp) and found is None:
+                found = (u, v)
+                if short_circuit:
+                    break
+        memo[k] = found is not None
+        return found
+
+    move = first_win(g.alive, turn)  # the root is never a memo hit
+    stats.distinct_keys = len(memo)
+    stats.elapsed = perf_counter() - started
+    winner = turn if move is not None else turn.opponent
+    return Outcome(winner, move, stats)
 
 
 def mex(values) -> int:

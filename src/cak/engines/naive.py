@@ -12,17 +12,20 @@ from time import perf_counter
 from typing import Optional
 
 from ..graph import Color, ColoredGraph, Player
-from .common import Outcome, SearchStats, mex, resolve_alive, split_components
-
-
-def _playable(g: ColoredGraph, player: Player):
-    return tuple((u, v, 1 << u | 1 << v) for u, v, c in g.edges if player.can_play(c))
+from .common import (
+    Outcome,
+    SearchStats,
+    mex,
+    playable_edges,
+    resolve_alive,
+    split_components,
+)
 
 
 def solve_naive(g: ColoredGraph, turn: Player, alive: Optional[int] = None) -> Outcome:
     t0 = perf_counter()
     mask0 = resolve_alive(g, alive)
-    edges = {p: _playable(g, p) for p in Player}
+    edges = {p: playable_edges(g, p) for p in Player}
     stats = SearchStats()
 
     def wins(mask: int, player: Player) -> bool:

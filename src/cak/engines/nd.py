@@ -18,8 +18,8 @@ from time import perf_counter
 from typing import Iterable, Optional
 
 from ..graph import ColoredGraph, Player
-from ..params import ModulePartition, _colored_twins, nd_partition
-from .common import Outcome, SearchStats
+from ..params import ModulePartition, colored_twins, nd_partition
+from .common import Move, Outcome, SearchStats, search
 
 NdKey = tuple[tuple[int, ...], Player]
 
@@ -43,7 +43,7 @@ def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...
             seen.add(v)
         for i, u in enumerate(module):
             for v in module[i + 1 :]:
-                if not _colored_twins(g, u, v, ignore_colors=False):
+                if not colored_twins(g, u, v, ignore_colors=False):
                     raise ValueError(
                         f"invalid partition: {u} and {v} are not colored twins"
                     )
@@ -80,12 +80,14 @@ class _ModuleSearch:
                 raise ValueError("restriction set must be a union of modules")
         self.allowed_pairs = set(inside)
 
-    def counts(self, mask: int) -> tuple[int, ...]:
-        return tuple(
+    def key(self, mask: int, player: Player) -> NdKey:
+        counts = tuple(
             sum(1 for v in module if mask >> v & 1) for module in self.modules
         )
+        return (counts, player)
 
-    def candidates(self, mask: int, counts, player: Player) -> list[tuple[int, int]]:
+    def candidates(self, mask: int, player: Player, key: NdKey) -> list[Move]:
+        counts = key[0]
         moves = []
         nu = len(self.modules)
         for i in range(nu):
@@ -96,7 +98,8 @@ class _ModuleSearch:
             alive_i = [v for v in self.modules[i] if mask >> v & 1]
             c = self.internal[i]
             if counts[i] >= 2 and c is not None and player.can_play(c):
-                moves.append((alive_i[0], alive_i[1]))
+                u, v = alive_i[0], alive_i[1]
+                moves.append((u, v, 1 << u | 1 << v))
             for j in range(i + 1, nu):
                 if counts[j] == 0:
                     continue
@@ -106,7 +109,7 @@ class _ModuleSearch:
                 if c is not None and player.can_play(c):
                     u = alive_i[0]
                     v = next(w for w in self.modules[j] if mask >> w & 1)
-                    moves.append((min(u, v), max(u, v)))
+                    moves.append((min(u, v), max(u, v), 1 << u | 1 << v))
         moves.sort()
         return moves
 
@@ -119,45 +122,10 @@ def _run(
     restrict_to: Optional[Iterable[int]] = None,
 ) -> Outcome:
     t0 = perf_counter()
-    search = _ModuleSearch(g, partition)
+    ms = _ModuleSearch(g, partition)
     if restrict_to is not None:
-        search.restrict(restrict_to)
-    memo: dict[NdKey, bool] = {}
-    stats = SearchStats()
-
-    def wins(mask: int, player: Player) -> bool:
-        stats.node_expansions += 1
-        counts = search.counts(mask)
-        key = (counts, player)
-        cached = memo.get(key)
-        if cached is not None:
-            stats.memo_hits += 1
-            return cached
-        result = False
-        opp = player.opponent
-        for u, v in search.candidates(mask, counts, player):
-            if not wins(mask & ~(1 << u | 1 << v), opp):
-                result = True
-                if short_circuit:
-                    break
-        memo[key] = result
-        return result
-
-    mask0 = g.alive
-    stats.node_expansions += 1
-    counts0 = search.counts(mask0)
-    move = None
-    opp = turn.opponent
-    for u, v in search.candidates(mask0, counts0, turn):
-        if not wins(mask0 & ~(1 << u | 1 << v), opp) and move is None:
-            move = (u, v)
-            if short_circuit:
-                break
-    memo[(counts0, turn)] = move is not None
-    stats.distinct_keys = len(memo)
-    stats.elapsed = perf_counter() - t0
-    winner = turn if move is not None else opp
-    return Outcome(winner, move, stats)
+        ms.restrict(restrict_to)
+    return search(g, turn, ms.key, ms.candidates, short_circuit, t0)
 
 
 def solve_nd(g: ColoredGraph, turn: Player, partition=None) -> Outcome:

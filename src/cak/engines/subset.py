@@ -12,57 +12,31 @@ from __future__ import annotations
 from time import perf_counter
 
 from ..graph import ColoredGraph, Player
-from .common import CapacityError, Outcome, SearchStats
+from .common import CapacityError, Move, Outcome, SearchStats, playable_edges, search
 
 DEFAULT_MAX_N = 32
 
 
-def _playable(g: ColoredGraph, player: Player):
-    return tuple((u, v, 1 << u | 1 << v) for u, v, c in g.edges if player.can_play(c))
-
-
-def solve_subset(g: ColoredGraph, turn: Player, max_n: int = DEFAULT_MAX_N) -> Outcome:
+def _run(g: ColoredGraph, turn: Player, max_n: int, short_circuit: bool) -> Outcome:
     if g.n > max_n:
         raise CapacityError(
             f"subset engine keys {max_n}-bit masks; instance has n={g.n}"
             " (raise max_n explicitly if you mean it)"
         )
     t0 = perf_counter()
-    edges = {p: _playable(g, p) for p in Player}
-    memo: dict[tuple[int, Player], bool] = {}
-    stats = SearchStats()
+    edges = {p: playable_edges(g, p) for p in Player}
 
-    def wins(mask: int, player: Player) -> bool:
-        stats.node_expansions += 1
-        key = (mask, player)
-        cached = memo.get(key)
-        if cached is not None:
-            stats.memo_hits += 1
-            return cached
-        result = False
-        opp = player.opponent
-        for _, _, em in edges[player]:
-            if mask & em == em and not wins(mask & ~em, opp):
-                result = True
-                break
-        memo[key] = result
-        return result
+    def moves(mask: int, player: Player, key) -> tuple[Move, ...]:
+        return edges[player]
 
-    mask0 = g.alive
-    stats.node_expansions += 1
-    move = None
-    opp = turn.opponent
-    for u, v, em in edges[turn]:
-        if mask0 & em == em and not wins(mask0 & ~em, opp):
-            move = (u, v)
-            break
-    memo[(mask0, turn)] = move is not None
-    stats.distinct_keys = len(memo)
-    stats.elapsed = perf_counter() - t0
-    winner = turn if move is not None else opp
-    return Outcome(winner, move, stats)
+    return search(g, turn, lambda mask, player: (mask, player), moves, short_circuit, t0)
+
+
+def solve_subset(g: ColoredGraph, turn: Player, max_n: int = DEFAULT_MAX_N) -> Outcome:
+    return _run(g, turn, max_n, short_circuit=True)
 
 
 def count_subset_positions(g: ColoredGraph, turn: Player, max_n: int = DEFAULT_MAX_N) -> SearchStats:
-    """Run solve_subset for its instrumentation only."""
-    return solve_subset(g, turn, max_n).stats
+    """Full-expansion instrumentation: every child is evaluated, so
+    node_expansions counts the entire memoized recursion tree."""
+    return _run(g, turn, max_n, short_circuit=False).stats

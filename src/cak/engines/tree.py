@@ -33,13 +33,11 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _check_gray_forest(g: ColoredGraph, mask: int) -> None:
-    inside = 0
+def check_gray_forest(g: ColoredGraph, mask: int) -> None:
+    """Raise ValueError unless the position on mask is an all-gray forest."""
     for u, v, c in g.edges:
-        if mask >> u & 1 and mask >> v & 1:
-            if c is not Color.GRAY:
-                raise ValueError("tree engine needs an all-gray position")
-            inside += 1
+        if mask >> u & 1 and mask >> v & 1 and c is not Color.GRAY:
+            raise ValueError("tree engine needs an all-gray position")
     nbr = g.neighbor_masks()
     for comp in split_components(mask, nbr):
         comp_edges = sum(
@@ -140,7 +138,7 @@ class _ForestValuer:
 def grundy_tree(g: ColoredGraph, alive: Optional[int] = None) -> int:
     """Sprague-Grundy value of an all-gray forest position."""
     mask = resolve_alive(g, alive)
-    _check_gray_forest(g, mask)
+    check_gray_forest(g, mask)
     return _ForestValuer(g).forest_value(mask)
 
 
@@ -150,7 +148,7 @@ def solve_tree(g: ColoredGraph, turn: Player, alive: Optional[int] = None) -> Ou
     winning move."""
     t0 = perf_counter()
     mask = resolve_alive(g, alive)
-    _check_gray_forest(g, mask)
+    check_gray_forest(g, mask)
     valuer = _ForestValuer(g)
     value = valuer.forest_value(mask)
     move = None

@@ -24,8 +24,8 @@ from time import perf_counter
 from typing import Iterable, Optional
 
 from ..graph import Color, ColoredGraph, Player
-from ..params import as_cover, min_vertex_cover
-from .common import Outcome, SearchStats
+from ..params import as_cover, cover_classes, min_vertex_cover
+from .common import Move, Outcome, SearchStats, resolve_alive, search
 
 VcKey = tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...], Player]
 
@@ -36,47 +36,39 @@ class _CoverSearch:
             cover_set = min_vertex_cover(g).vertices
         else:
             cover_set = as_cover(g, cover)
+        self.g = g
         self.cover = tuple(sorted(cover_set))
         self.noncover = tuple(v for v in range(g.n) if v not in cover_set)
         self.nbr = g.neighbor_masks()
-        self.color_of = g.color_of
         self.internal = tuple(
             (u, v, c) for u, v, c in g.edges if u in cover_set and v in cover_set
         )
 
-    def layout(self, mask: int):
-        """(surviving cover, class -> sorted members) for a position."""
+    def classes(self, mask: int, alive_cover: tuple[int, ...]):
+        """Class vector -> sorted alive members, all-absent vectors dropped."""
+        classes = cover_classes(self.g, mask, alive_cover, self.noncover)
+        classes.pop((0,) * len(alive_cover), None)
+        return classes
+
+    def key(self, mask: int, player: Player) -> VcKey:
         alive_cover = tuple(
             s for s in self.cover if mask >> s & 1 and self.nbr[s] & mask
         )
-        classes: dict[tuple[int, ...], list[int]] = {}
-        for v in self.noncover:
-            if not mask >> v & 1:
-                continue
-            vector = tuple(
-                0 if (c := self.color_of(v, u)) is None else int(c)
-                for u in alive_cover
-            )
-            if any(vector):
-                classes.setdefault(vector, []).append(v)
-        return alive_cover, classes
-
-    def key(self, mask: int, player: Player) -> VcKey:
-        alive_cover, classes = self.layout(mask)
+        classes = self.classes(mask, alive_cover)
         counts = tuple(sorted((vec, len(members)) for vec, members in classes.items()))
         return (alive_cover, counts, player)
 
-    def candidates(self, mask: int, player: Player) -> list[tuple[int, int]]:
-        alive_cover, classes = self.layout(mask)
+    def candidates(self, mask: int, player: Player, key: VcKey) -> list[Move]:
+        alive_cover = key[0]
         moves = set()
         for u, v, c in self.internal:
             if mask >> u & 1 and mask >> v & 1 and player.can_play(c):
-                moves.add((u, v))
-        for vector, members in classes.items():
+                moves.add((u, v, 1 << u | 1 << v))
+        for vector, members in self.classes(mask, alive_cover).items():
             rep = members[0]
             for u, code in zip(alive_cover, vector):
                 if code and player.can_play(Color(code)):
-                    moves.add((min(u, rep), max(u, rep)))
+                    moves.add((min(u, rep), max(u, rep), 1 << u | 1 << rep))
         return sorted(moves)
 
 
@@ -84,51 +76,15 @@ def vc_canonical_key(
     g: ColoredGraph, alive: Optional[int], cover: Iterable[int], turn: Player
 ) -> VcKey:
     """Memo key of a position for a fixed cover (exposed for testing)."""
-    mask = g.alive if alive is None else alive
-    if mask & ~g.alive:
-        raise ValueError("alive mask keeps a dead vertex")
-    return _CoverSearch(g, cover).key(mask, turn)
+    return _CoverSearch(g, cover).key(resolve_alive(g, alive), turn)
 
 
 def _run(
     g: ColoredGraph, turn: Player, cover: Optional[Iterable[int]], short_circuit: bool
 ) -> Outcome:
     t0 = perf_counter()
-    search = _CoverSearch(g, cover)
-    memo: dict[VcKey, bool] = {}
-    stats = SearchStats()
-
-    def wins(mask: int, player: Player) -> bool:
-        stats.node_expansions += 1
-        key = search.key(mask, player)
-        cached = memo.get(key)
-        if cached is not None:
-            stats.memo_hits += 1
-            return cached
-        result = False
-        opp = player.opponent
-        for u, v in search.candidates(mask, player):
-            if not wins(mask & ~(1 << u | 1 << v), opp):
-                result = True
-                if short_circuit:
-                    break
-        memo[key] = result
-        return result
-
-    mask0 = g.alive
-    stats.node_expansions += 1
-    move = None
-    opp = turn.opponent
-    for u, v in search.candidates(mask0, turn):
-        if not wins(mask0 & ~(1 << u | 1 << v), opp) and move is None:
-            move = (u, v)
-            if short_circuit:
-                break
-    memo[search.key(mask0, turn)] = move is not None
-    stats.distinct_keys = len(memo)
-    stats.elapsed = perf_counter() - t0
-    winner = turn if move is not None else opp
-    return Outcome(winner, move, stats)
+    cs = _CoverSearch(g, cover)
+    return search(g, turn, cs.key, cs.candidates, short_circuit, t0)
 
 
 def solve_vc(

@@ -232,3 +232,13 @@ def gen_random(
                     c = Color.WHITE
                 edges.append((u, v, c))
     return ColoredGraph(n, tuple(edges))
+
+
+# Generator name (as in `cak gen` and bench suites) -> (function, parameters).
+GENERATORS = {
+    "grid": (gen_grid, ("rows", "cols", "variant")),
+    "caterpillar": (gen_caterpillar_kayles, ("pins",)),
+    "lower-vc": (gen_lower_vc, ("k",)),
+    "lower-nd": (gen_lower_nd, ("k", "s")),
+    "random": (gen_random, ("n", "p", "weights", "seed")),
+}

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Color, ColoredGraph
+from .graph import ColoredGraph
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def min_vertex_cover(g: ColoredGraph) -> VertexCover:
     return VertexCover(frozenset(best[0]))
 
 
-def _colored_twins(g: ColoredGraph, u: int, v: int, ignore_colors: bool) -> bool:
+def colored_twins(g: ColoredGraph, u: int, v: int, ignore_colors: bool) -> bool:
     """Twin test: u and v look the same from every other vertex."""
     for w in g.alive_vertices():
         if w == u or w == v:
@@ -179,7 +179,7 @@ def nd_partition(g: ColoredGraph, ignore_colors: bool = False) -> ModulePartitio
         for v in verts:
             if v in assigned or v <= u:
                 continue
-            if _colored_twins(g, u, v, ignore_colors):
+            if colored_twins(g, u, v, ignore_colors):
                 module.append(v)
                 assigned.add(v)
         modules.append(module)
@@ -187,9 +187,10 @@ def nd_partition(g: ColoredGraph, ignore_colors: bool = False) -> ModulePartitio
     return ModulePartition(tuple(tuple(m) for m in modules), kind)
 
 
-def _check_cover(g: ColoredGraph, cover: frozenset[int]) -> None:
+def _check_cover(g: ColoredGraph, cover, mask: int) -> None:
+    """Raise unless cover meets every edge between vertices alive in mask."""
     for u, v, _ in g.edges:
-        if u not in cover and v not in cover:
+        if mask >> u & 1 and mask >> v & 1 and u not in cover and v not in cover:
             raise ValueError(f"not a vertex cover: edge {{{u}, {v}}} uncovered")
 
 
@@ -202,8 +203,25 @@ def as_cover(g: ColoredGraph, cover) -> frozenset[int]:
     for v in vertices:
         if not (0 <= v < g.n):
             raise ValueError(f"cover vertex {v} out of range")
-    _check_cover(g, vertices)
+    _check_cover(g, vertices, g.alive)
     return vertices
+
+
+def cover_classes(
+    g: ColoredGraph, mask: int, cover_order: tuple[int, ...], noncover: Iterable[int]
+) -> dict[tuple[int, ...], list[int]]:
+    """The alive vertices of noncover grouped by their vector of edge
+    colors toward cover_order: one entry per cover vertex, 0 for absent
+    and the Color value otherwise. Members keep noncover's order."""
+    color_of = g.color_of
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v in noncover:
+        if mask >> v & 1:
+            vector = tuple(
+                0 if (c := color_of(v, u)) is None else int(c) for u in cover_order
+            )
+            classes.setdefault(vector, []).append(v)
+    return classes
 
 
 def equivalence_classes(
@@ -217,18 +235,9 @@ def equivalence_classes(
         raise ValueError("alive mask keeps a dead vertex")
     cover_set = set(min_vertex_cover(g).vertices if cover is None else cover)
     cover_order = tuple(v for v in sorted(cover_set) if mask >> v & 1)
-    members: dict[tuple[int, ...], list[int]] = {}
-    for v in range(g.n):
-        if not mask >> v & 1 or v in cover_set:
-            continue
-        vector = []
-        for u in cover_order:
-            c = g.color_of(v, u)
-            vector.append(0 if c is None else int(c))
-        members.setdefault(tuple(vector), []).append(v)
-    for u, v, _ in g.edges:
-        if mask >> u & 1 and mask >> v & 1 and u not in cover_set and v not in cover_set:
-            raise ValueError(f"not a vertex cover of the alive subgraph: edge {{{u}, {v}}}")
+    noncover = [v for v in range(g.n) if v not in cover_set]
+    _check_cover(g, cover_set, mask)
+    members = cover_classes(g, mask, cover_order, noncover)
     return EquivalenceClasses(cover_order, {k: tuple(v) for k, v in sorted(members.items())})
 
 

@@ -57,6 +57,35 @@ def win_oracle(n, lettered_edges, turn):
     return "W" if turn == "B" else "B"
 
 
+def full_count_oracle(n, lettered_edges, turn):
+    """(recursive calls, distinct keys) of a search memoized on (vertex
+    set, player) that evaluates every child: no short-circuit, so the
+    counts cover the whole memoized recursion tree."""
+    plays = {
+        "B": [(u, v) for u, v, c in lettered_edges if c in ("g", "b")],
+        "W": [(u, v) for u, v, c in lettered_edges if c in ("g", "w")],
+    }
+    memo = {}
+    calls = 0
+
+    def wins(alive, player):
+        nonlocal calls
+        calls += 1
+        if (alive, player) in memo:
+            return memo[(alive, player)]
+        other = "W" if player == "B" else "B"
+        children = [
+            wins(alive - {u, v}, other)
+            for u, v in plays[player]
+            if u in alive and v in alive
+        ]
+        memo[(alive, player)] = not all(children)
+        return memo[(alive, player)]
+
+    wins(frozenset(range(n)), turn)
+    return calls, len(memo)
+
+
 def grundy_oracle(n, pairs):
     """Grundy value of a gray graph given as (u, v) pairs. No memo and
     no component splitting, to stay independent of the engines."""

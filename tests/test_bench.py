@@ -6,12 +6,12 @@ from cak import gen_caterpillar_kayles, gen_grid, gen_random, min_vertex_cover
 from cak.bench import (
     CSV_COLUMNS,
     BenchConsistencyError,
-    _SOLVERS,
     expand_suite,
     pick_auto_engine,
     records_to_csv,
     run_bench,
 )
+from cak.engines import SOLVERS
 from cak.graph import Player
 
 from _oracles import build
@@ -129,11 +129,11 @@ def test_run_bench_captures_engine_errors():
 
 def test_run_bench_flags_disagreement(monkeypatch):
     def contrarian(g, turn, **kwargs):
-        out = _SOLVERS["subset"](g, turn)
+        out = SOLVERS["subset"](g, turn)
         out.winner = out.winner.opponent
         return out
 
-    monkeypatch.setitem(_SOLVERS, "naive", contrarian)
+    monkeypatch.setitem(SOLVERS, "naive", contrarian)
     spec = {
         "engines": ["naive", "subset"],
         "suites": [{"generator": "grid", "grid": {"rows": [2], "cols": [2]}}],

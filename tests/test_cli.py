@@ -268,3 +268,64 @@ def test_cli_runs_as_module(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["winner"] == "B"
+
+
+def test_engine_options_must_apply_to_the_engine_that_runs(tmp_path, capsys):
+    cram = write_cak(tmp_path, gen_grid(2, 2))
+    code, _, stderr = invoke(capsys, "solve", "-f", cram, "-e", "subset", "--cover", "1,4")
+    assert code == 2
+    assert "'subset'" in stderr
+    cat = write_cak(tmp_path, gen_caterpillar_kayles(3), "cat.cak")
+    part = tmp_path / "part.json"
+    part.write_text("[[1], [2], [3], [4], [5], [6], [7], [8], [9]]")
+    code, _, stderr = invoke(capsys, "solve", "-f", cat, "--partition", str(part))
+    assert code == 2
+    assert "'tree'" in stderr  # what auto picked
+    code, _, stderr = invoke(capsys, "solve", "-f", cram, "--max-n", "40")
+    assert code == 2
+    assert "'vc'" in stderr
+    code, _, stderr = invoke(capsys, "solve", "-f", cram, "-e", "nd", "--count-mode", "--cover", "1,4")
+    assert code == 2
+    assert "'nd'" in stderr
+    for extra in ([], ["--count-mode"]):
+        code, stdout, _ = invoke(capsys, "solve", "-f", cram, "-e", "subset", "--max-n", "4", *extra)
+        assert code == 0
+        assert json.loads(stdout)["engine"] == "subset"
+    code, _, stderr = invoke(capsys, "solve", "-f", cram, "-e", "subset", "--max-n", "3")
+    assert code == 2
+
+
+def run_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "cak.cli", *argv], capture_output=True, text=True
+    )
+
+
+def test_suite_entry_without_generator_exits_2(tmp_path):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"suites": [{"grid": {"rows": [2], "cols": [2]}}]}))
+    proc = run_cli("bench", "--suite", str(suite))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "generator" in proc.stderr
+
+
+def test_non_integer_suite_grid_value_exits_2(tmp_path):
+    suite = tmp_path / "suite.json"
+    suite.write_text(
+        json.dumps({"suites": [{"generator": "grid", "grid": {"rows": ["two"], "cols": [2]}}]})
+    )
+    proc = run_cli("bench", "--suite", str(suite))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_partition_with_non_integer_ids_exits_2(tmp_path):
+    k33 = write_cak(
+        tmp_path, build(6, [(u, v, "g") for u in range(3) for v in range(3, 6)])
+    )
+    part = tmp_path / "part.json"
+    part.write_text('[["1", "2", "3"], [4, 5, 6]]')
+    proc = run_cli("solve", "-f", k33, "-e", "nd", "--partition", str(part))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

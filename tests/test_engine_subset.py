@@ -8,13 +8,19 @@ from cak import (
     CapacityError,
     ColoredGraph,
     Player,
+    count_nd_positions,
     count_subset_positions,
+    count_vc_positions,
     gen_grid,
+    gen_lower_nd,
+    gen_lower_vc,
     solve_naive,
+    solve_nd,
     solve_subset,
+    solve_vc,
 )
 
-from _oracles import build, random_lettered_edges
+from _oracles import build, full_count_oracle, random_lettered_edges
 
 
 def test_matches_naive_on_random_instances():
@@ -87,3 +93,46 @@ def test_deterministic_outcome():
     b = solve_subset(g, Player.B)
     assert (a.winner, a.winning_move) == (b.winner, b.winning_move)
     assert a.stats.node_expansions == b.stats.node_expansions
+
+
+def lettered(g):
+    return [(u, v, c.letter) for u, v, c in g.edges]
+
+
+def test_count_mode_expands_every_child():
+    cram = gen_grid(3, 3)
+    stats = count_subset_positions(cram, Player.B)
+    assert (stats.node_expansions, stats.distinct_keys) == (301, 98)
+    assert full_count_oracle(cram.n, lettered(cram), "B") == (301, 98)
+    rng = random.Random(61)
+    for _ in range(30):
+        n = rng.randrange(1, 9)
+        g = build(n, random_lettered_edges(rng, n, rng.choice([0.3, 0.6])))
+        for turn in (Player.B, Player.W):
+            stats = count_subset_positions(g, turn)
+            want = full_count_oracle(n, lettered(g), turn.value)
+            assert (stats.node_expansions, stats.distinct_keys) == want
+            assert stats.memo_hits == stats.node_expansions - stats.distinct_keys
+
+
+def _stats(result):
+    stats = getattr(result, "stats", result)
+    return (stats.node_expansions, stats.memo_hits, stats.distinct_keys)
+
+
+@pytest.mark.parametrize(
+    "run, want_stats, want_move",
+    [
+        (lambda: solve_subset(gen_grid(3, 3), Player.B), (91, 41, 50), None),
+        (lambda: solve_vc(gen_grid(3, 4, "domineering"), Player.W), (44, 12, 32), (0, 1)),
+        (lambda: solve_nd(gen_lower_nd(3, 2), Player.B), (97, 48, 49), None),
+        (lambda: count_nd_positions(gen_lower_nd(3, 2), Player.B), (275, 200, 75), None),
+        (lambda: count_vc_positions(gen_lower_vc(2), Player.B), (13, 6, 7), None),
+    ],
+    ids=["subset-cram3x3", "vc-dom3x4", "nd-lower3-2", "nd-count", "vc-count"],
+)
+def test_exact_stats(run, want_stats, want_move):
+    """The CLI prints these counters, so they are pinned exactly."""
+    result = run()
+    assert _stats(result) == want_stats
+    assert getattr(result, "winning_move", None) == want_move
