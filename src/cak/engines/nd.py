@@ -55,6 +55,7 @@ def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...
 class _ModuleSearch:
     def __init__(self, g: ColoredGraph, partition):
         self.modules = _resolve_partition(g, partition)
+        self.module_masks = tuple(sum(1 << v for v in m) for m in self.modules)
         nu = len(self.modules)
         # Uniform colors: between module pair (one or no color), and inside.
         self.inter = [[None] * nu for _ in range(nu)]
@@ -81,10 +82,7 @@ class _ModuleSearch:
         self.allowed_pairs = set(inside)
 
     def key(self, mask: int, player: Player) -> NdKey:
-        counts = tuple(
-            sum(1 for v in module if mask >> v & 1) for module in self.modules
-        )
-        return (counts, player)
+        return (tuple((mask & mm).bit_count() for mm in self.module_masks), player)
 
     def candidates(self, mask: int, player: Player, key: NdKey) -> list[Move]:
         counts = key[0]

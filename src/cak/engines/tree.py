@@ -1,9 +1,11 @@
 """Tree engine: Sprague-Grundy values on gray forests.
 
 Positions decompose over components, values XOR, and one component's
-value is a mex over its moves. Components are memoized under a
-canonical form (the rooted shape code from the centroid), so isomorphic
-subtrees arising anywhere in the search share one evaluation.
+value is a mex over its moves. Components are memoized by vertex set
+and under a canonical form (the AHU rooted shape code from the
+centroid; Aho, Hopcroft & Ullman 1974), so a vertex set is coded once
+and isomorphic subtrees arising anywhere in the search share one
+evaluation.
 
 Also counts, for a rooted tree, how many non-isomorphic rooted subtrees
 survive at the root under play-like removals: matchings whose matched
@@ -15,11 +17,19 @@ what bounds the canonical-form memo.
 from __future__ import annotations
 
 import itertools
+import sys
 from time import perf_counter
 from typing import Optional
 
 from ..graph import Color, ColoredGraph, Player
-from .common import Outcome, SearchStats, mex, resolve_alive, split_components
+from .common import (
+    CapacityError,
+    Outcome,
+    SearchStats,
+    mex,
+    resolve_alive,
+    split_components,
+)
 
 ENUMERATION_LIMIT = 16  # n above this switches the counters to subtree DP
 
@@ -56,52 +66,78 @@ def _component_adjacency(g: ColoredGraph, comp: int) -> dict[int, list[int]]:
     return adj
 
 
+def _code_from_combo(kept: list[str]) -> str:
+    return "(" + "".join(sorted(kept)) + ")"
+
+
+def _bfs(adj: dict[int, list[int]], root: int) -> tuple[list[int], dict[int, int]]:
+    """Breadth-first order from root and each vertex's parent (-1 at root)."""
+    order = [root]
+    parent = {root: -1}
+    for v in order:
+        p = parent[v]
+        for w in adj[v]:
+            if w != p:
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
+
+def _child_codes(order: list[int], parent: dict[int, int]) -> dict[int, list[str]]:
+    """Bottom-up AHU pass: each vertex's list of child shape codes. A
+    vertex's own code is "(" + its sorted child codes joined + ")"."""
+    kids: dict[int, list[str]] = {v: [] for v in order}
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
+            kids[p].append(_code_from_combo(kids[v]))
+    return kids
+
+
 def rooted_code(adj: dict[int, list[int]], root: int) -> str:
     """Canonical shape string of a rooted tree: children codes sorted and
     concatenated inside parentheses. Equal codes <=> rooted-isomorphic."""
-
-    def code(v: int, parent: Optional[int]) -> str:
-        parts = sorted(code(w, v) for w in adj[v] if w != parent)
-        return "(" + "".join(parts) + ")"
-
-    return code(root, None)
-
-
-def _centroids(adj: dict[int, list[int]]) -> list[int]:
-    verts = sorted(adj)
-    total = len(verts)
-    root = verts[0]
-    size: dict[int, int] = {}
-    order: list[tuple[int, Optional[int]]] = []
-    stack: list[tuple[int, Optional[int]]] = [(root, None)]
-    while stack:
-        v, parent = stack.pop()
-        order.append((v, parent))
-        for w in adj[v]:
-            if w != parent:
-                stack.append((w, v))
-    for v, parent in reversed(order):
-        size[v] = 1 + sum(size[w] for w in adj[v] if w != parent)
-    parent_of = {v: p for v, p in order}
-    best: list[int] = []
-    best_weight = total + 1
-    for v in verts:
-        weight = total - size[v]
-        for w in adj[v]:
-            if w != parent_of[v]:
-                weight = max(weight, size[w])
-        if weight < best_weight:
-            best, best_weight = [v], weight
-        elif weight == best_weight:
-            best.append(v)
-    return best
+    order, parent = _bfs(adj, root)
+    return _code_from_combo(_child_codes(order, parent)[root])
 
 
 def tree_component_code(g: ColoredGraph, comp: int) -> str:
     """Canonical form of one tree component: root at the centroid; with
     two centroids take the lexicographically smaller rooted code."""
     adj = _component_adjacency(g, comp)
-    return min(rooted_code(adj, c) for c in _centroids(adj))
+    order, parent = _bfs(adj, next(iter(adj)))
+    total = len(order)
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
+            size[p] += size[v]
+    # Walk down from the root into any branch holding over half the
+    # vertices; where none is left, the vertex is a centroid. A second
+    # centroid is a neighbor whose branch holds exactly half.
+    c, twin = order[0], -1
+    descending = True
+    while descending:
+        descending = False
+        for w in adj[c]:
+            if w != parent[c] and 2 * size[w] >= total:
+                if 2 * size[w] == total:
+                    twin = w
+                else:
+                    c, descending = w, True
+                break
+    order, parent = _bfs(adj, c)
+    kids = _child_codes(order, parent)
+    code = _code_from_combo(kids[c])
+    if twin < 0:
+        return code
+    # Re-root at the twin: c's side without the twin's branch becomes
+    # one more child of the twin.
+    twin_code = _code_from_combo(kids[twin])
+    c_side = kids[c]
+    c_side.remove(twin_code)
+    kids[twin].append(_code_from_combo(c_side))
+    return min(code, _code_from_combo(kids[twin]))
 
 
 class _ForestValuer:
@@ -109,8 +145,22 @@ class _ForestValuer:
         self.g = g
         self.nbr = g.neighbor_masks()
         self.edge_masks = tuple(1 << u | 1 << v for u, v, _ in g.edges)
-        self.memo: dict[str, int] = {}
+        self.memo: dict[str, int] = {}  # canonical code -> value
+        self.by_mask: dict[int, int] = {}  # component mask -> value
         self.stats = SearchStats()
+
+    def value(self, mask: int) -> int:
+        """forest_value from the top of a search. The search recurses
+        once per move played, so a long enough forest outruns Python's
+        recursion limit; that is a size limit, not a crash."""
+        try:
+            return self.forest_value(mask)
+        except RecursionError:
+            raise CapacityError(
+                "tree search needs more nested calls than the recursion limit"
+                f" ({sys.getrecursionlimit()}) allows; the position is too"
+                " large for the tree engine"
+            ) from None
 
     def forest_value(self, mask: int) -> int:
         total = 0
@@ -119,19 +169,26 @@ class _ForestValuer:
         return total
 
     def component_value(self, comp: int) -> int:
+        """Value of one component, looked up by vertex set first and by
+        canonical shape second; either lookup answering is a memo hit."""
         self.stats.node_expansions += 1
-        code = tree_component_code(self.g, comp)
-        cached = self.memo.get(code)
-        if cached is not None:
+        value = self.by_mask.get(comp)
+        if value is not None:
             self.stats.memo_hits += 1
-            return cached
-        child_values = set()
-        for em in self.edge_masks:
-            if comp & em == em:
-                child_values.add(self.forest_value(comp & ~em))
-        value = mex(child_values)
-        self.memo[code] = value
-        self.stats.distinct_keys = len(self.memo)
+            return value
+        code = tree_component_code(self.g, comp)
+        value = self.memo.get(code)
+        if value is not None:
+            self.stats.memo_hits += 1
+        else:
+            child_values = set()
+            for em in self.edge_masks:
+                if comp & em == em:
+                    child_values.add(self.forest_value(comp & ~em))
+            value = mex(child_values)
+            self.memo[code] = value
+            self.stats.distinct_keys = len(self.memo)
+        self.by_mask[comp] = value
         return value
 
 
@@ -139,7 +196,7 @@ def grundy_tree(g: ColoredGraph, alive: Optional[int] = None) -> int:
     """Sprague-Grundy value of an all-gray forest position."""
     mask = resolve_alive(g, alive)
     check_gray_forest(g, mask)
-    return _ForestValuer(g).forest_value(mask)
+    return _ForestValuer(g).value(mask)
 
 
 def solve_tree(g: ColoredGraph, turn: Player, alive: Optional[int] = None) -> Outcome:
@@ -150,12 +207,12 @@ def solve_tree(g: ColoredGraph, turn: Player, alive: Optional[int] = None) -> Ou
     mask = resolve_alive(g, alive)
     check_gray_forest(g, mask)
     valuer = _ForestValuer(g)
-    value = valuer.forest_value(mask)
+    value = valuer.value(mask)
     move = None
     if value:
         for u, v, _ in g.edges:
             em = 1 << u | 1 << v
-            if mask & em == em and valuer.forest_value(mask & ~em) == 0:
+            if mask & em == em and valuer.value(mask & ~em) == 0:
                 move = (u, v)
                 break
     stats = valuer.stats
@@ -196,10 +253,6 @@ def _tree_layout(g: ColoredGraph, root: int):
     if len(seen) != n_alive:
         raise ValueError("not a tree: alive subgraph is disconnected")
     return edges, adj, children, order
-
-
-def _code_from_combo(kept: list[str]) -> str:
-    return "(" + "".join(sorted(kept)) + ")"
 
 
 def _count_ak_enum(g: ColoredGraph, root: int) -> int:

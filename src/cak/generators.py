@@ -8,13 +8,15 @@ of the cover-keyed and module-keyed engines.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
-from .graph import Color, ColoredGraph
-
-DEFAULT_VERTEX_BUDGET = 5000
-VERTEX_BUDGET_ENV = "CAK_MAX_VERTICES"
+from .graph import (  # noqa: F401  (DEFAULT_VERTEX_BUDGET re-exported)
+    DEFAULT_VERTEX_BUDGET,
+    VERTEX_BUDGET_ENV,
+    Color,
+    ColoredGraph,
+    vertex_budget,
+)
 
 
 class SplitMix64:
@@ -44,18 +46,6 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         return self.next_u64() % bound
-
-
-def _budget(budget: Optional[int]) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(VERTEX_BUDGET_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{VERTEX_BUDGET_ENV} must be an integer, got {env!r}") from None
-    return DEFAULT_VERTEX_BUDGET
 
 
 def gen_grid(rows: int, cols: int, variant: str = "cram") -> ColoredGraph:
@@ -122,7 +112,7 @@ def gen_lower_vc(k: int, budget: Optional[int] = None) -> ColoredGraph:
     half = k // 2
     patterns = 4 ** half
     n = k + patterns * half
-    limit = _budget(budget)
+    limit = vertex_budget(budget)
     if n > limit:
         raise ValueError(
             f"lower-vc k={k} needs n={n} vertices, over the budget of {limit}"
@@ -168,7 +158,7 @@ def gen_lower_nd(k: int, s: int, budget: Optional[int] = None) -> ColoredGraph:
         raise ValueError("s must be >= 1")
     ell = (k + 1).bit_length() - 1
     n = s * k + ell * (ell + 1) // 2
-    limit = _budget(budget)
+    limit = vertex_budget(budget)
     if n > limit:
         raise ValueError(
             f"lower-nd k={k} s={s} needs n={n} vertices, over the budget of {limit}"

@@ -12,9 +12,28 @@ positions of one game share vertex ids.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Iterable, Optional, Sequence, Union
+
+
+DEFAULT_VERTEX_BUDGET = 5000
+VERTEX_BUDGET_ENV = "CAK_MAX_VERTICES"
+
+
+def vertex_budget(budget: Optional[int] = None) -> int:
+    """Largest vertex count a file or generator may ask for: `budget`
+    when given, else $CAK_MAX_VERTICES, else DEFAULT_VERTEX_BUDGET."""
+    if budget is not None:
+        return budget
+    env = os.environ.get(VERTEX_BUDGET_ENV)
+    if env is not None:
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{VERTEX_BUDGET_ENV} must be an integer, got {env!r}") from None
+    return DEFAULT_VERTEX_BUDGET
 
 
 class Color(IntEnum):
@@ -178,7 +197,8 @@ def parse_graph(text: Union[str, bytes]) -> ColoredGraph:
         e <u> <v> <color>      -- m lines, 1-based endpoints, color g|b|w
 
     Raises ParseError (with line number) on malformed input, duplicate
-    edges, self-loops, out-of-range vertex ids, or unknown colors.
+    edges, self-loops, out-of-range vertex ids, unknown colors, or a
+    vertex count over vertex_budget().
     """
     if isinstance(text, bytes):
         try:
@@ -205,6 +225,13 @@ def parse_graph(text: Union[str, bytes]) -> ColoredGraph:
                 raise ParseError(f"non-integer counts in header {raw!r}", lineno) from None
             if n < 0 or declared_m < 0:
                 raise ParseError("negative counts in header", lineno)
+            limit = vertex_budget()
+            if n > limit:
+                raise ParseError(
+                    f"n={n} vertices is over the budget of {limit}"
+                    f" (raise {VERTEX_BUDGET_ENV} to allow it)",
+                    lineno,
+                )
         elif kind == "e":
             if n is None:
                 raise ParseError("edge before header", lineno)

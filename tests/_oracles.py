@@ -229,6 +229,24 @@ def nk_count_oracle(n, pairs, root):
     return len(shapes)
 
 
+def tree_code_oracle(n, pairs):
+    """Canonical code of a tree on 0..n-1: the smallest recursive rooted
+    shape string over its centroids, the vertices whose removal leaves
+    the smallest largest component (found by brute force)."""
+    adjsets = _adjsets(n, pairs)
+    everyone = set(range(n))
+
+    def weight(v):
+        rest = everyone - {v}
+        return max(
+            (len(_root_component(adjsets, w, rest)) for w in adjsets[v]), default=0
+        )
+
+    weights = {v: weight(v) for v in everyone}
+    best = min(weights.values())
+    return min(_shape(adjsets, v, everyone) for v in everyone if weights[v] == best)
+
+
 def trees_isomorphic(n, pairs1, pairs2):
     """Unlabeled isomorphism of two n-vertex graphs by permutation brute
     force; fine for n <= 8."""

@@ -329,3 +329,24 @@ def test_partition_with_non_integer_ids_exits_2(tmp_path):
     proc = run_cli("solve", "-f", k33, "-e", "nd", "--partition", str(part))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+def test_vertex_count_over_budget_exits_2(tmp_path):
+    huge = tmp_path / "huge.cak"
+    huge.write_text("p cak 100000000000 0\n")
+    proc = run_cli("solve", "-f", str(huge))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "CAK_MAX_VERTICES" in proc.stderr
+
+
+def test_too_deep_tree_search_exits_2(tmp_path):
+    n = 2500
+    path = tmp_path / "path.cak"
+    path.write_text(
+        f"p cak {n} {n - 1}\n" + "".join(f"e {v} {v + 1} g\n" for v in range(1, n))
+    )
+    proc = run_cli("grundy", "-f", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "recursion limit" in proc.stderr

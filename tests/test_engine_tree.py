@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cak import (
+    CapacityError,
     Player,
     count_ak_subtrees,
     count_nk_subtrees,
@@ -15,6 +16,7 @@ from cak import (
     solve_subset,
     solve_tree,
 )
+from cak.engines.common import split_components
 from cak.engines.tree import (
     _count_ak_dp,
     _count_ak_enum,
@@ -30,6 +32,7 @@ from _oracles import (
     nk_count_oracle,
     prufer_trees,
     random_tree_pairs,
+    tree_code_oracle,
     trees_isomorphic,
 )
 
@@ -37,6 +40,10 @@ from _oracles import (
 def gray_tree(pairs, n=None):
     size = n if n is not None else max((v for e in pairs for v in e), default=0) + 1
     return build(max(size, 1), [(u, v, "g") for u, v in pairs])
+
+
+def gray_path(n):
+    return gray_tree([(v, v + 1) for v in range(n - 1)], n)
 
 
 def random_forest(rng, n):
@@ -133,6 +140,80 @@ def test_canonical_codes_match_isomorphism():
     same = groups[-1]
     assert trees_isomorphic(6, same[0], same[-1])
     assert not trees_isomorphic(6, groups[0][0], groups[-1][0])
+
+
+def relabeled(rng, n, pairs):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [(perm[u], perm[v]) for u, v in pairs]
+
+
+def test_canonical_codes_match_recursive_oracle():
+    rng = random.Random(97)
+    for _ in range(60):
+        n = rng.randrange(1, 41)
+        pairs = relabeled(rng, n, random_tree_pairs(rng, n))
+        g = gray_tree(pairs, n)
+        assert tree_component_code(g, g.full_mask) == tree_code_oracle(n, pairs)
+    # two centroids: two trees of equal size joined by one edge
+    for _ in range(40):
+        half = rng.randrange(1, 21)
+        left = random_tree_pairs(rng, half)
+        right = [(u + half, v + half) for u, v in random_tree_pairs(rng, half)]
+        bridge = (rng.randrange(half), half + rng.randrange(half))
+        pairs = relabeled(rng, 2 * half, left + right + [bridge])
+        g = gray_tree(pairs, 2 * half)
+        assert tree_component_code(g, g.full_mask) == tree_code_oracle(2 * half, pairs)
+
+
+def test_canonical_code_of_one_component_ignores_the_rest():
+    rng = random.Random(98)
+    for _ in range(20):
+        n = rng.randrange(4, 30)
+        g = random_forest(rng, n)
+        comp = max(split_components(g.alive, g.neighbor_masks()), key=int.bit_count)
+        inside = [(u, v) for u, v, _ in g.edges if comp >> u & 1 and comp >> v & 1]
+        index = {v: i for i, v in enumerate(v for v in range(n) if comp >> v & 1)}
+        local = [(index[u], index[v]) for u, v in inside]
+        assert tree_component_code(g, comp) == tree_code_oracle(len(index), local)
+
+
+def test_canonical_code_of_a_long_path_needs_no_recursion():
+    def chain(k):  # rooted path of k vertices, rooted at an end
+        return "(" * k + ")" * k
+
+    g = gray_path(3000)  # centroids 1499 and 1500, branches of 1500 and 1499
+    assert tree_component_code(g, g.full_mask) == "(" + chain(1500) + chain(1499) + ")"
+
+
+@pytest.mark.parametrize(
+    "g, turn, stats, move",
+    [
+        (gen_caterpillar_kayles(10), Player.B, (169, 159, 10), (1, 11)),
+        (gen_caterpillar_kayles(20), Player.B, (759, 739, 20), (9, 10)),
+        (gray_path(30), Player.W, (733, 705, 28), (14, 15)),
+    ],
+    ids=["caterpillar-10", "caterpillar-20", "path-30"],
+)
+def test_exact_search_stats(g, turn, stats, move):
+    out = solve_tree(g, turn)
+    s = out.stats
+    assert (s.node_expansions, s.memo_hits, s.distinct_keys) == stats
+    assert out.winner is turn
+    assert out.winning_move == move
+
+
+def test_path_30_grundy_value():
+    assert grundy_tree(gray_path(30)) == 4
+
+
+def test_too_deep_search_is_a_capacity_error():
+    # each move nests two calls: ~1,200 frames against the default 1,000
+    g = gray_path(1200)
+    with pytest.raises(CapacityError, match="recursion limit"):
+        grundy_tree(g)
+    with pytest.raises(CapacityError, match="recursion limit"):
+        solve_tree(g, Player.B)
 
 
 def test_p3_subtree_counts():

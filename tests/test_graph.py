@@ -17,7 +17,7 @@ from cak import (
     serialize_graph,
     swap_colors,
 )
-from cak.graph import induced_mask
+from cak.graph import DEFAULT_VERTEX_BUDGET, VERTEX_BUDGET_ENV, induced_mask
 
 from _oracles import build, random_lettered_edges
 
@@ -133,6 +133,19 @@ def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_graph(text)
     assert fragment in str(err.value)
+
+
+def test_parse_bounds_n_by_the_vertex_budget(monkeypatch):
+    monkeypatch.delenv(VERTEX_BUDGET_ENV, raising=False)
+    with pytest.raises(ParseError) as err:
+        parse_graph("c huge\np cak 100000000000 0")
+    assert VERTEX_BUDGET_ENV in str(err.value)
+    assert err.value.line == 2
+    assert parse_graph(f"p cak {DEFAULT_VERTEX_BUDGET} 0").n == DEFAULT_VERTEX_BUDGET
+    monkeypatch.setenv(VERTEX_BUDGET_ENV, "10")
+    assert parse_graph("p cak 10 0").n == 10
+    with pytest.raises(ParseError):
+        parse_graph("p cak 11 0")
 
 
 def test_parse_error_reports_line_number():
