@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from ..graph import ColoredGraph, Player
 
@@ -112,7 +112,7 @@ def resolve_alive(g: ColoredGraph, alive: Optional[int]) -> int:
     return alive
 
 
-def split_components(mask: int, nbr: list[int]) -> list[int]:
+def split_components(mask: int, nbr: Sequence[int]) -> list[int]:
     """Connected components with at least one edge, as bitmasks.
 
     Vertices isolated within mask are skipped: they carry no moves and

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import sys
 from time import perf_counter
-from typing import Optional
+from typing import Optional, Sequence
 
 from ..graph import Color, ColoredGraph, Player
 from .common import (
@@ -30,8 +30,6 @@ from .common import (
     resolve_alive,
     split_components,
 )
-
-ENUMERATION_LIMIT = 16  # n above this switches the counters to subtree DP
 
 
 def _bits(mask: int) -> list[int]:
@@ -44,42 +42,42 @@ def _bits(mask: int) -> list[int]:
 
 
 def check_gray_forest(g: ColoredGraph, mask: int) -> None:
-    """Raise ValueError unless the position on mask is an all-gray forest."""
+    """Raise ValueError unless the position on mask is an all-gray forest:
+    a graph is acyclic iff its edges number its vertices minus its
+    components."""
+    edges = 0
     for u, v, c in g.edges:
-        if mask >> u & 1 and mask >> v & 1 and c is not Color.GRAY:
-            raise ValueError("tree engine needs an all-gray position")
-    nbr = g.neighbor_masks()
-    for comp in split_components(mask, nbr):
-        comp_edges = sum(
-            1 for u, v, _ in g.edges if comp >> u & 1 and comp >> v & 1
-        )
-        if comp_edges != bin(comp).count("1") - 1:
-            raise ValueError("not a forest: alive subgraph contains a cycle")
-
-
-def _component_adjacency(g: ColoredGraph, comp: int) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {v: [] for v in _bits(comp)}
-    for u, v, _ in g.edges:
-        if comp >> u & 1 and comp >> v & 1:
-            adj[u].append(v)
-            adj[v].append(u)
-    return adj
+        if mask >> u & 1 and mask >> v & 1:
+            if c is not Color.GRAY:
+                raise ValueError("tree engine needs an all-gray position")
+            edges += 1
+    comps = split_components(mask, g.neighbor_masks())
+    if edges != sum(comp.bit_count() - 1 for comp in comps):
+        raise ValueError("not a forest: alive subgraph contains a cycle")
 
 
 def _code_from_combo(kept: list[str]) -> str:
     return "(" + "".join(sorted(kept)) + ")"
 
 
-def _bfs(adj: dict[int, list[int]], root: int) -> tuple[list[int], dict[int, int]]:
-    """Breadth-first order from root and each vertex's parent (-1 at root)."""
+def _bfs(
+    nbr: Sequence[int], comp: int, root: int
+) -> tuple[list[int], dict[int, int]]:
+    """Breadth-first order of the vertices of comp reachable from root,
+    and each one's parent (-1 at root). The neighbor masks give the
+    adjacency; unreached vertices form a mask, so a cycle cannot loop."""
     order = [root]
     parent = {root: -1}
+    unreached = comp & ~(1 << root)
     for v in order:
-        p = parent[v]
-        for w in adj[v]:
-            if w != p:
-                parent[w] = v
-                order.append(w)
+        found = nbr[v] & unreached
+        unreached ^= found
+        while found:
+            b = found & -found
+            found ^= b
+            w = b.bit_length() - 1
+            parent[w] = v
+            order.append(w)
     return order, parent
 
 
@@ -94,18 +92,11 @@ def _child_codes(order: list[int], parent: dict[int, int]) -> dict[int, list[str
     return kids
 
 
-def rooted_code(adj: dict[int, list[int]], root: int) -> str:
-    """Canonical shape string of a rooted tree: children codes sorted and
-    concatenated inside parentheses. Equal codes <=> rooted-isomorphic."""
-    order, parent = _bfs(adj, root)
-    return _code_from_combo(_child_codes(order, parent)[root])
-
-
 def tree_component_code(g: ColoredGraph, comp: int) -> str:
     """Canonical form of one tree component: root at the centroid; with
     two centroids take the lexicographically smaller rooted code."""
-    adj = _component_adjacency(g, comp)
-    order, parent = _bfs(adj, next(iter(adj)))
+    nbr = g.neighbor_masks()
+    order, parent = _bfs(nbr, comp, (comp & -comp).bit_length() - 1)
     total = len(order)
     size = dict.fromkeys(order, 1)
     for v in reversed(order):
@@ -119,14 +110,14 @@ def tree_component_code(g: ColoredGraph, comp: int) -> str:
     descending = True
     while descending:
         descending = False
-        for w in adj[c]:
+        for w in _bits(nbr[c] & comp):
             if w != parent[c] and 2 * size[w] >= total:
                 if 2 * size[w] == total:
                     twin = w
                 else:
                     c, descending = w, True
                 break
-    order, parent = _bfs(adj, c)
+    order, parent = _bfs(nbr, comp, c)
     kids = _child_codes(order, parent)
     code = _code_from_combo(kids[c])
     if twin < 0:
@@ -225,80 +216,42 @@ def solve_tree(g: ColoredGraph, turn: Player, alive: Optional[int] = None) -> Ou
 # Rooted subtree counters
 
 
-def _tree_layout(g: ColoredGraph, root: int):
+def _rooted_tree(g: ColoredGraph, root: int) -> tuple[list[int], dict[int, list[int]]]:
+    """BFS order of the alive tree rooted at root, and each vertex's
+    children. Raises ValueError unless the alive graph is a tree."""
     mask = g.alive
     if not (0 <= root < g.n) or not mask >> root & 1:
         raise ValueError(f"root {root} is not an alive vertex")
-    n_alive = bin(mask).count("1")
-    edges = [(u, v) for u, v, _ in g.edges]
-    if len(edges) != n_alive - 1:
+    if g.m != mask.bit_count() - 1:
         raise ValueError("not a tree: edge count differs from n - 1")
-    adj: dict[int, list[int]] = {v: [] for v in _bits(mask)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {root}
-    queue = [root]
-    children: dict[int, list[int]] = {}
-    order = []
-    while queue:
-        v = queue.pop()
-        order.append(v)
-        children[v] = []
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                children[v].append(w)
-                queue.append(w)
-    if len(seen) != n_alive:
+    order, parent = _bfs(g.neighbor_masks(), mask, root)
+    if len(order) != mask.bit_count():
         raise ValueError("not a tree: alive subgraph is disconnected")
-    return edges, adj, children, order
+    children: dict[int, list[int]] = {v: [] for v in order}
+    for v in order[1:]:
+        children[parent[v]].append(v)
+    return order, children
 
 
-def _count_ak_enum(g: ColoredGraph, root: int) -> int:
-    """Enumerate every matching, keep those whose residual is one tree at
-    the root plus isolated vertices, count distinct rooted shapes."""
-    edges, adj, _, _ = _tree_layout(g, root)
-    edge_masks = [1 << u | 1 << v for u, v in edges]
-    codes: set[str] = set()
-
-    def visit(used: int) -> None:
-        if used >> root & 1:
-            return
-        surviving = [e for e, em in zip(edges, edge_masks) if not em & used]
-        comp = {root}
-        queue = [root]
-        local: dict[int, list[int]] = {root: []}
-        for u, v in surviving:
-            local.setdefault(u, []).append(v)
-            local.setdefault(v, []).append(u)
-        while queue:
-            x = queue.pop()
-            for y in local.get(x, ()):
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        if any(u not in comp for u, v in surviving):
-            return
-        codes.add(rooted_code({v: local.get(v, []) for v in comp}, root))
-
-    def rec(i: int, used: int) -> None:
-        if i == len(edges):
-            visit(used)
-            return
-        rec(i + 1, used)
-        em = edge_masks[i]
-        if not used & em:
-            rec(i + 1, used | em)
-
-    rec(0, 0)
-    return len(codes)
+def _kept_shapes(
+    children: list[int], shapes: dict[int, set[str]], vanishes: dict[int, bool]
+) -> set[str]:
+    """Rooted shapes a vertex can keep: each child stays with one of its
+    own shapes, or disappears entirely where vanishes[child] holds."""
+    options = [list(shapes[c]) + ([None] if vanishes[c] else []) for c in children]
+    return {
+        _code_from_combo([x for x in combo if x is not None])
+        for combo in itertools.product(*options)
+    }
 
 
-def _count_ak_dp(g: ColoredGraph, root: int) -> int:
-    """Subtree DP equivalent of the matching enumeration.
+def count_ak_subtrees(g: ColoredGraph, root: int) -> int:
+    """Number of non-isomorphic rooted subtrees at `root` reachable by
+    deleting the matched vertices of some matching, where what survives
+    is the root's tree plus isolated vertices (edge colors are ignored;
+    the alive graph must be a tree).
 
-    Per vertex v (rooted at the query root):
+    Subtree DP, per vertex v of the tree rooted at `root`:
       deletable[v] : some matching inside T_v covers v and clears T_v
                      down to isolated vertices;
       standing[v]  : T_v clears to isolated vertices with v surviving
@@ -306,7 +259,7 @@ def _count_ak_dp(g: ColoredGraph, root: int) -> int:
       shapes[v]    : rooted shape codes v can retain; each child is
                      either kept with one of its shapes or deleted.
     """
-    _, _, children, order = _tree_layout(g, root)
+    order, children = _rooted_tree(g, root)
     deletable: dict[int, bool] = {}
     standing: dict[int, bool] = {}
     shapes: dict[int, set[str]] = {}
@@ -319,71 +272,24 @@ def _count_ak_dp(g: ColoredGraph, root: int) -> int:
             and all(clearable[ci] for ci in ch if ci != cj)
             for cj in ch
         )
-        options = []
-        for c in ch:
-            opts: list[Optional[str]] = list(shapes[c])
-            if deletable[c]:
-                opts.append(None)
-            options.append(opts)
-        shapes[v] = {
-            _code_from_combo([x for x in combo if x is not None])
-            for combo in itertools.product(*options)
-        }
+        shapes[v] = _kept_shapes(ch, shapes, deletable)
     return len(shapes[root])
 
 
-def _count_nk_enum(g: ColoredGraph, root: int) -> int:
-    """Enumerate independent sets U, keep those whose closed neighborhood
-    removal leaves exactly one tree containing the root."""
-    edges, adj, _, _ = _tree_layout(g, root)
-    verts = sorted(adj)
-    nbr_closed = {v: (1 << v) | sum(1 << w for w in adj[v]) for v in verts}
-    full = g.alive
-    codes: set[str] = set()
+def count_nk_subtrees(g: ColoredGraph, root: int) -> int:
+    """Number of non-isomorphic rooted subtrees at `root` reachable by
+    deleting the closed neighborhood of some independent set, where what
+    survives is exactly the root's tree (the alive graph must be a tree).
 
-    def visit(removed: int) -> None:
-        if removed >> root & 1:
-            return
-        residual = full & ~removed
-        comp = 1 << root
-        queue = [root]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if residual >> y & 1 and not comp >> y & 1:
-                    comp |= 1 << y
-                    queue.append(y)
-        if comp != residual:
-            return
-        local = {
-            v: [w for w in adj[v] if residual >> w & 1] for v in _bits(residual)
-        }
-        codes.add(rooted_code(local, root))
-
-    def rec(i: int, chosen: int, removed: int) -> None:
-        if i == len(verts):
-            visit(removed)
-            return
-        v = verts[i]
-        rec(i + 1, chosen, removed)
-        if not chosen & nbr_closed[v]:
-            rec(i + 1, chosen | 1 << v, removed | nbr_closed[v])
-
-    rec(0, 0, 0)
-    return len(codes)
-
-
-def _count_nk_dp(g: ColoredGraph, root: int) -> int:
-    """Subtree DP equivalent of the independent-set enumeration.
-
-    dominated_in[v]  : an independent set inside T_v containing v
-                       dominates all of T_v;
-    dominated_out[v] : same with v excluded from the set;
-    shapes[v]        : rooted shapes v can retain; a child is kept with
-                       one of its shapes or wiped (dominated_out, so the
-                       kept parent is not touched).
+    Subtree DP, per vertex v of the tree rooted at `root`:
+      dominated_in[v]  : an independent set inside T_v containing v
+                         dominates all of T_v;
+      dominated_out[v] : same with v excluded from the set;
+      shapes[v]        : rooted shapes v can retain; a child is kept with
+                         one of its shapes or wiped (dominated_out, so the
+                         kept parent is not touched).
     """
-    _, _, children, order = _tree_layout(g, root)
+    order, children = _rooted_tree(g, root)
     dominated_in: dict[int, bool] = {}
     dominated_out: dict[int, bool] = {}
     shapes: dict[int, set[str]] = {}
@@ -395,31 +301,5 @@ def _count_nk_dp(g: ColoredGraph, root: int) -> int:
         dominated_out[v] = all(
             dominated_in[c] or dominated_out[c] for c in ch
         ) and any(dominated_in[c] for c in ch)
-        options = []
-        for c in ch:
-            opts: list[Optional[str]] = list(shapes[c])
-            if dominated_out[c]:
-                opts.append(None)
-            options.append(opts)
-        shapes[v] = {
-            _code_from_combo([x for x in combo if x is not None])
-            for combo in itertools.product(*options)
-        }
+        shapes[v] = _kept_shapes(ch, shapes, dominated_out)
     return len(shapes[root])
-
-
-def count_ak_subtrees(g: ColoredGraph, root: int) -> int:
-    """Number of non-isomorphic rooted subtrees at `root` reachable by
-    deleting the matched vertices of some matching (edge colors are
-    ignored; the alive graph must be a tree)."""
-    if g.alive_count <= ENUMERATION_LIMIT:
-        return _count_ak_enum(g, root)
-    return _count_ak_dp(g, root)
-
-
-def count_nk_subtrees(g: ColoredGraph, root: int) -> int:
-    """Number of non-isomorphic rooted subtrees at `root` reachable by
-    deleting the closed neighborhood of some independent set."""
-    if g.alive_count <= ENUMERATION_LIMIT:
-        return _count_nk_enum(g, root)
-    return _count_nk_dp(g, root)

@@ -110,6 +110,7 @@ class ColoredGraph:
     edges: tuple[Edge, ...]
     alive: Optional[int] = None
     _color: dict = field(init=False, repr=False, compare=False)
+    _nbr: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 0:
@@ -121,6 +122,7 @@ class ColoredGraph:
         if not isinstance(alive, int) or alive < 0 or alive & ~full:
             raise ValueError("alive mask out of range for vertex universe")
         colors: dict[tuple[int, int], Color] = {}
+        nbr = [0] * self.n
         normalized = []
         for edge in self.edges:
             u, v, c = edge
@@ -136,11 +138,14 @@ class ColoredGraph:
                 raise ValueError(f"edge {{{u}, {v}}} has a dead endpoint")
             c = Color(c)
             colors[(u, v)] = c
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
             normalized.append((u, v, c))
         normalized.sort()
         object.__setattr__(self, "edges", tuple(normalized))
         object.__setattr__(self, "alive", alive)
         object.__setattr__(self, "_color", colors)
+        object.__setattr__(self, "_nbr", tuple(nbr))
 
     @property
     def m(self) -> int:
@@ -163,20 +168,9 @@ class ColoredGraph:
             u, v = v, u
         return self._color.get((u, v))
 
-    def adjacency(self) -> dict[int, dict[int, Color]]:
-        """Fresh adjacency map over the stored (alive) edges."""
-        adj: dict[int, dict[int, Color]] = {v: {} for v in range(self.n)}
-        for u, v, c in self.edges:
-            adj[u][v] = c
-            adj[v][u] = c
-        return adj
-
-    def neighbor_masks(self) -> list[int]:
-        nbr = [0] * self.n
-        for u, v, _ in self.edges:
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
-        return nbr
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Bitmask of each vertex's neighbors over the stored edges."""
+        return self._nbr
 
     def colors_present(self) -> set[Color]:
         return {c for _, _, c in self.edges}

@@ -229,6 +229,28 @@ def nk_count_oracle(n, pairs, root):
     return len(shapes)
 
 
+def forest_oracle(lettered_edges, alive):
+    """Verdict on the position restricted to the vertex set `alive`:
+    "color" when an edge inside it is not gray, "cycle" when its edges
+    close a cycle (union-find), else None for an all-gray forest."""
+    inside = [(u, v, c) for u, v, c in lettered_edges if u in alive and v in alive]
+    if any(c != "g" for _, _, c in inside):
+        return "color"
+    root = {v: v for v in alive}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v, _ in inside:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return "cycle"
+        root[ru] = rv
+    return None
+
+
 def tree_code_oracle(n, pairs):
     """Canonical code of a tree on 0..n-1: the smallest recursive rooted
     shape string over its centroids, the vertices whose removal leaves

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cak import (
     CapacityError,
@@ -17,17 +18,12 @@ from cak import (
     solve_tree,
 )
 from cak.engines.common import split_components
-from cak.engines.tree import (
-    _count_ak_dp,
-    _count_ak_enum,
-    _count_nk_dp,
-    _count_nk_enum,
-    tree_component_code,
-)
+from cak.engines.tree import check_gray_forest, tree_component_code
 
 from _oracles import (
     ak_count_oracle,
     build,
+    forest_oracle,
     grundy_oracle,
     nk_count_oracle,
     prufer_trees,
@@ -79,6 +75,37 @@ def test_alive_mask_restriction():
     assert grundy_tree(c4, alive=0b0111) == 1
     with pytest.raises(ValueError):
         grundy_tree(c4)
+
+
+@st.composite
+def graphs_with_alive_masks(draw):
+    """(n, lettered edges, alive mask). "-" leaves a pair unjoined; the
+    sparse palettes mostly give forests, the dense one cycles, and the
+    black or white ones color errors. Three vertices in four are alive."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    alphabet = draw(st.sampled_from(["----g", "-g", "----ggggb", "----ggggw"]))
+    palette = st.sampled_from(alphabet)
+    letters = draw(st.lists(palette, min_size=len(pairs), max_size=len(pairs)))
+    lettered = [(u, v, c) for (u, v), c in zip(pairs, letters) if c != "-"]
+    alive = draw(st.lists(st.sampled_from([1, 1, 1, 0]), min_size=n, max_size=n))
+    return n, lettered, sum(bit << v for v, bit in enumerate(alive))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(graphs_with_alive_masks())
+def test_check_gray_forest_matches_union_find_oracle(case):
+    n, lettered, mask = case
+    g = build(n, lettered)
+    verdict = forest_oracle(lettered, {v for v in range(n) if mask >> v & 1})
+    if verdict is None:
+        check_gray_forest(g, mask)
+    elif verdict == "color":
+        with pytest.raises(ValueError, match="needs an all-gray position"):
+            check_gray_forest(g, mask)
+    else:
+        with pytest.raises(ValueError, match="contains a cycle"):
+            check_gray_forest(g, mask)
 
 
 def test_rejects_non_gray_edges():
@@ -243,21 +270,23 @@ def test_counters_match_oracles():
             assert count_nk_subtrees(g, root) == nk_count_oracle(n, pairs, root)
 
 
-def test_dp_agrees_with_enumeration():
+def test_counters_match_oracles_up_to_11_vertices():
     rng = random.Random(71)
     for _ in range(15):
         n = rng.randrange(2, 12)
-        g = gray_tree(random_tree_pairs(rng, n), n)
+        pairs = random_tree_pairs(rng, n)
+        g = gray_tree(pairs, n)
         for root in range(n):
-            assert _count_ak_dp(g, root) == _count_ak_enum(g, root)
-            assert _count_nk_dp(g, root) == _count_nk_enum(g, root)
+            assert count_ak_subtrees(g, root) == ak_count_oracle(n, pairs, root)
+            assert count_nk_subtrees(g, root) == nk_count_oracle(n, pairs, root)
 
 
-def test_large_tree_uses_dp_path():
-    g = gen_caterpillar_kayles(9)  # 18 vertices, beyond the enum limit
+def test_counters_match_oracles_on_18_vertex_caterpillar():
+    g = gen_caterpillar_kayles(9)
+    pairs = [e[:2] for e in g.edges]
     for root in (0, 4, 9):
-        assert count_ak_subtrees(g, root) == _count_ak_enum(g, root)
-        assert count_nk_subtrees(g, root) == _count_nk_enum(g, root)
+        assert count_ak_subtrees(g, root) == ak_count_oracle(g.n, pairs, root)
+        assert count_nk_subtrees(g, root) == nk_count_oracle(g.n, pairs, root)
 
 
 def test_subtree_count_bound():
@@ -277,7 +306,11 @@ def test_counters_reject_non_trees():
     disconnected = gray_tree([(0, 1), (1, 2)], 5)  # extra isolated vertices
     with pytest.raises(ValueError):
         count_ak_subtrees(disconnected, 0)
+    # n - 1 edges, a cycle and an isolated vertex: a BFS without a
+    # visited set would circle the triangle forever
     triangle_plus = build(4, [(0, 1, "g"), (0, 2, "g"), (1, 2, "g")])
+    with pytest.raises(ValueError):
+        count_ak_subtrees(triangle_plus, 0)
     with pytest.raises(ValueError):
         count_nk_subtrees(triangle_plus, 0)
     p2 = gray_tree([(0, 1)])
