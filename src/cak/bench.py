@@ -41,7 +41,7 @@ from dataclasses import dataclass, fields
 from itertools import product
 from typing import Optional
 
-from .engines import ENGINE_NAMES, run_engine
+from .engines import ENGINE_NAMES, select_engine
 from .engines import pick_auto_engine  # noqa: F401  (stays importable from here)
 from .generators import GENERATORS, lower_nd_clique_vertices
 from .graph import ColoredGraph, Player
@@ -88,26 +88,37 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
+def _field(obj: dict, name: str, kind: type, default, where: str):
+    """obj[name], or default when absent; raises unless it is a `kind`."""
+    value = obj.get(name, default)
+    if not isinstance(value, kind):
+        json_type = {int: "integer", str: "string", list: "list", dict: "object"}[kind]
+        raise ValueError(f"{where} field {name!r} must be a JSON {json_type}")
+    return value
+
+
 def expand_suite(spec: dict) -> list[_Task]:
-    base_turn = Player.parse(spec.get("turn", "B"))
-    base_engines = tuple(spec.get("engines", ("subset",)))
-    seed_counter = int(spec.get("seed", 0))
+    if not isinstance(spec, dict):
+        raise ValueError("suite spec must be a JSON object")
+    base_turn = Player.parse(_field(spec, "turn", str, "B", "suite"))
+    base_engines = _field(spec, "engines", list, ["subset"], "suite")
+    seed_counter = _field(spec, "seed", int, 0, "suite")
     tasks: list[_Task] = []
-    for entry in spec.get("suites", ()):
+    for entry in _field(spec, "suites", list, [], "suite"):
         if not isinstance(entry, dict) or "generator" not in entry:
             raise ValueError('every suite entry must be an object with a "generator"')
         name = entry["generator"]
         if name not in GENERATORS:
             raise ValueError(f"unknown generator {name!r}")
         fn, param_names = GENERATORS[name]
-        grid = entry.get("grid", {})
+        grid = _field(entry, "grid", dict, {}, "suite entry")
         for key, values in grid.items():
             if key not in param_names or key == "seed":
                 raise ValueError(f"generator {name!r} does not take parameter {key!r}")
             if not isinstance(values, list):
                 raise ValueError(f"generator {name!r}: {key!r} must be a list of values")
-        turn = Player.parse(entry.get("turn", base_turn.value))
-        engines = tuple(entry.get("engines", base_engines))
+        turn = Player.parse(_field(entry, "turn", str, base_turn.value, "suite entry"))
+        engines = tuple(_field(entry, "engines", list, base_engines, "suite entry"))
         for eng in engines:
             if eng not in ENGINE_NAMES:
                 raise ValueError(f"unknown engine {eng!r}")
@@ -117,7 +128,9 @@ def expand_suite(spec: dict) -> list[_Task]:
             raise ValueError("restrict_clique_edges only applies to lower-nd")
         keys = sorted(grid)
         combos = [dict(zip(keys, values)) for values in product(*(grid[k] for k in keys))]
-        repetitions = int(entry.get("repetitions", 1)) if name == "random" else 1
+        repetitions = 1
+        if name == "random":
+            repetitions = _field(entry, "repetitions", int, 1, "suite entry")
         for combo in combos:
             for _ in range(repetitions):
                 params = dict(combo)
@@ -151,9 +164,9 @@ def expand_suite(spec: dict) -> list[_Task]:
 
 def _run_engine(task: _Task, engine: str):
     """Returns (winner string or '', stats)."""
-    _, result = run_engine(
-        engine, task.graph, task.turn, task.count_mode, restrict_to=task.restrict_to
-    )
+    options = {} if task.restrict_to is None else {"restrict_to": task.restrict_to}
+    _, fn = select_engine(engine, task.graph, task.count_mode, options=options)
+    result = fn(task.graph, task.turn, **options)
     if task.count_mode:
         return "", result
     return result.winner.value, result.stats

@@ -19,7 +19,7 @@ from .engines import (
     GRUNDY,
     count_ak_subtrees,
     count_nk_subtrees,
-    run_engine,
+    select_engine,
 )
 from .generators import GENERATORS
 from .graph import ParseError, Player, parse_graph, serialize_graph
@@ -54,37 +54,44 @@ def _stats_json(stats, timing: bool) -> dict:
     return out
 
 
-def _parse_cover(text: str) -> list[int]:
+def _zero_based(ids: list[int], n: int, what: str) -> list[int]:
+    """The 0-based form of 1-based ids, each checked against 1..n."""
+    for v in ids:
+        if not 1 <= v <= n:
+            raise ValueError(f"{what} {v} out of range 1..{n}")
+    return [v - 1 for v in ids]
+
+
+def _parse_cover(text: str, n: int) -> list[int]:
     try:
         ids = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"bad cover list {text!r} (expected comma-separated 1-based ids)")
-    return [v - 1 for v in ids]
+    return _zero_based(ids, n, "cover vertex")
 
 
-def _load_partition(path: str) -> list[list[int]]:
+def _load_partition(path: str, n: int) -> list[list[int]]:
     with open(path) as fh:
         data = json.load(fh)
     if not isinstance(data, list) or not all(
         isinstance(m, list) and all(type(v) is int for v in m) for m in data
     ):
         raise ValueError("partition file must be a JSON list of integer vertex-id lists")
-    return [[v - 1 for v in module] for module in data]
+    return [_zero_based(module, n, "partition vertex") for module in data]
 
 
 def _cmd_solve(args) -> int:
     g = _read_graph(args.file)
     turn = Player.parse(args.first)
-    engine, result = run_engine(
-        args.engine,
-        g,
-        turn,
-        args.count_mode,
-        args.vc_threshold,
-        max_n=args.max_n,
-        cover=_parse_cover(args.cover) if args.cover else None,
-        partition=_load_partition(args.partition) if args.partition else None,
-    )
+    given = {"max_n": args.max_n, "cover": args.cover or None, "partition": args.partition or None}
+    options = {key: value for key, value in given.items() if value is not None}
+    # Whether the engine takes an option is checked before the option's value.
+    engine, fn = select_engine(args.engine, g, args.count_mode, args.vc_threshold, options)
+    if "cover" in options:
+        options["cover"] = _parse_cover(args.cover, g.n)
+    if "partition" in options:
+        options["partition"] = _load_partition(args.partition, g.n)
+    result = fn(g, turn, **options)
     report = {"engine": engine, "first": turn.value}
     if args.count_mode:
         report["stats"] = _stats_json(result, args.timing)
@@ -138,7 +145,7 @@ def _cmd_params(args) -> int:
 
 def _cmd_count(args) -> int:
     g = _read_graph(args.file)
-    root = args.root - 1
+    (root,) = _zero_based([args.root], g.n, "root")
     if args.kind == "ak-subtrees":
         value = count_ak_subtrees(g, root)
     else:

@@ -11,6 +11,7 @@ only in their memo key and candidate moves.
 """
 
 from inspect import signature
+from typing import Callable, Iterable
 
 from ..graph import ColoredGraph, Player
 from ..params import min_vertex_cover
@@ -59,32 +60,27 @@ def pick_auto_engine(g: ColoredGraph, vc_threshold: int = 8) -> str:
     return "subset"
 
 
-def run_engine(
+def select_engine(
     name: str,
     g: ColoredGraph,
-    turn: Player,
     count_mode: bool,
     vc_threshold: int = 8,
-    **options,
-):
-    """Run engine name ("auto" picks one) from the registry on g.
-
-    Returns (engine that ran, its Outcome, or its SearchStats in count
-    mode). Options that are set (not None) are passed by keyword; one
-    the engine takes no parameter for raises ValueError naming the
-    engine, so an option meant for another engine is never ignored.
-    """
+    options: Iterable[str] = (),
+) -> tuple[str, Callable]:
+    """The engine name stands for on g ("auto" picks one) and its
+    registry function. Raises ValueError naming that engine when it
+    takes no parameter for one of the option names, so an option meant
+    for another engine is never ignored."""
     engine = pick_auto_engine(g, vc_threshold) if name == "auto" else name
     fn = (COUNTERS if count_mode else SOLVERS).get(engine)
     if fn is None and count_mode:
         raise ValueError(f"count mode is not supported for engine {engine!r}")
     if fn is None:
         raise ValueError(f"unknown engine {engine!r}")
-    kwargs = {key: value for key, value in options.items() if value is not None}
-    unknown = sorted(kwargs.keys() - signature(fn).parameters.keys())
+    unknown = sorted(set(options) - signature(fn).parameters.keys())
     if unknown:
         raise ValueError(f"option {unknown[0]} does not apply to engine {engine!r}")
-    return engine, fn(g, turn, **kwargs)
+    return engine, fn
 
 
 __all__ = [
@@ -103,7 +99,7 @@ __all__ = [
     "grundy_naive",
     "grundy_tree",
     "pick_auto_engine",
-    "run_engine",
+    "select_engine",
     "solve_naive",
     "solve_nd",
     "solve_subset",

@@ -18,7 +18,7 @@ from time import perf_counter
 from typing import Iterable, Optional
 
 from ..graph import ColoredGraph, Player
-from ..params import ModulePartition, colored_twins, nd_partition
+from ..params import ModulePartition, nd_partition
 from .common import Move, Outcome, SearchStats, search
 
 NdKey = tuple[tuple[int, ...], Player]
@@ -31,6 +31,8 @@ def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...
         modules = partition.modules
     else:
         modules = tuple(tuple(sorted(m)) for m in partition)
+    # Twinness is an equivalence, so pairwise twins share one coarsest class.
+    class_of = {v: i for i, m in enumerate(nd_partition(g).modules) for v in m}
     seen: set[int] = set()
     for module in modules:
         if not module:
@@ -43,7 +45,7 @@ def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...
             seen.add(v)
         for i, u in enumerate(module):
             for v in module[i + 1 :]:
-                if not colored_twins(g, u, v, ignore_colors=False):
+                if class_of[u] != class_of[v]:
                     raise ValueError(
                         f"invalid partition: {u} and {v} are not colored twins"
                     )

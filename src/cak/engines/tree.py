@@ -21,7 +21,7 @@ import sys
 from time import perf_counter
 from typing import Optional, Sequence
 
-from ..graph import Color, ColoredGraph, Player
+from ..graph import Color, ColoredGraph, Player, bits
 from .common import (
     CapacityError,
     Outcome,
@@ -30,15 +30,6 @@ from .common import (
     resolve_alive,
     split_components,
 )
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
 
 
 def check_gray_forest(g: ColoredGraph, mask: int) -> None:
@@ -110,7 +101,7 @@ def tree_component_code(g: ColoredGraph, comp: int) -> str:
     descending = True
     while descending:
         descending = False
-        for w in _bits(nbr[c] & comp):
+        for w in bits(nbr[c] & comp):
             if w != parent[c] and 2 * size[w] >= total:
                 if 2 * size[w] == total:
                     twin = w

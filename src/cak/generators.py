@@ -19,6 +19,16 @@ from .graph import (  # noqa: F401  (DEFAULT_VERTEX_BUDGET re-exported)
 )
 
 
+def _check_budget(what: str, n: int, budget: Optional[int] = None) -> None:
+    """Refuse to build an instance of n vertices over vertex_budget()."""
+    limit = vertex_budget(budget)
+    if n > limit:
+        raise ValueError(
+            f"{what} needs n={n} vertices, over the budget of {limit}"
+            f" (raise {VERTEX_BUDGET_ENV} to allow it)"
+        )
+
+
 class SplitMix64:
     """SplitMix64: a tiny, fully specified 64-bit PRNG.
 
@@ -58,6 +68,7 @@ def gen_grid(rows: int, cols: int, variant: str = "cram") -> ColoredGraph:
         raise ValueError("grid needs rows >= 1 and cols >= 1")
     if variant not in ("cram", "domineering"):
         raise ValueError(f"unknown variant {variant!r} (expected cram or domineering)")
+    _check_budget(f"grid rows={rows} cols={cols}", rows * cols)
     dom = variant == "domineering"
     horizontal = Color.WHITE if dom else Color.GRAY
     vertical = Color.BLACK if dom else Color.GRAY
@@ -78,6 +89,7 @@ def gen_caterpillar_kayles(pins: int) -> ColoredGraph:
     playing spine edge (i, i+1) knocks down the adjacent pair."""
     if pins < 1:
         raise ValueError("pins must be >= 1")
+    _check_budget(f"caterpillar pins={pins}", 2 * pins)
     edges = []
     for i in range(pins - 1):
         edges.append((i, i + 1, Color.GRAY))
@@ -112,12 +124,7 @@ def gen_lower_vc(k: int, budget: Optional[int] = None) -> ColoredGraph:
     half = k // 2
     patterns = 4 ** half
     n = k + patterns * half
-    limit = vertex_budget(budget)
-    if n > limit:
-        raise ValueError(
-            f"lower-vc k={k} needs n={n} vertices, over the budget of {limit}"
-            f" (raise {VERTEX_BUDGET_ENV} to allow it)"
-        )
+    _check_budget(f"lower-vc k={k}", n, budget)
     black_slots = max(1, k // 4)
     digit_color = {1: Color.GRAY, 2: Color.BLACK, 3: Color.WHITE}
     edges = []
@@ -158,12 +165,7 @@ def gen_lower_nd(k: int, s: int, budget: Optional[int] = None) -> ColoredGraph:
         raise ValueError("s must be >= 1")
     ell = (k + 1).bit_length() - 1
     n = s * k + ell * (ell + 1) // 2
-    limit = vertex_budget(budget)
-    if n > limit:
-        raise ValueError(
-            f"lower-nd k={k} s={s} needs n={n} vertices, over the budget of {limit}"
-            f" (raise {VERTEX_BUDGET_ENV} to allow it)"
-        )
+    _check_budget(f"lower-nd k={k} s={s}", n, budget)
     clique = list(range(s * k))
     edges = [(a, b, Color.GRAY) for i, a in enumerate(clique) for b in clique[i + 1 :]]
     pendant = s * k + ell
@@ -206,6 +208,7 @@ def gen_random(
     wg, wb, ww = weights
     if min(wg, wb, ww) < 0 or wg + wb + ww <= 0:
         raise ValueError("weights must be nonnegative integers, not all zero")
+    _check_budget(f"random n={n}", n)
     total = wg + wb + ww
     threshold = int(p * (1 << 64))
     rng = SplitMix64(seed)

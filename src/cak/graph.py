@@ -36,6 +36,16 @@ def vertex_budget(budget: Optional[int] = None) -> int:
     return DEFAULT_VERTEX_BUDGET
 
 
+def bits(mask: int) -> list[int]:
+    """Set bit positions of mask, lowest first."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
+
+
 class Color(IntEnum):
     """Edge color.
 

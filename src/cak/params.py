@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import ColoredGraph
+from .graph import Color, ColoredGraph, bits
 
 
 @dataclass(frozen=True)
@@ -54,22 +54,17 @@ class EquivalenceClasses:
         return self.classes[vector][0]
 
 
-def _greedy_matching_size(adj: dict[int, set[int]]) -> int:
-    """Size of a greedily built maximal matching: a lower bound on the
-    cover size of the residual graph (each matched edge needs a cover
-    vertex of its own)."""
-    used: set[int] = set()
-    size = 0
-    for u in sorted(adj):
-        if u in used or not adj[u]:
-            continue
-        for v in sorted(adj[u]):
-            if v not in used:
-                used.add(u)
-                used.add(v)
-                size += 1
-                break
-    return size
+def _greedy_matching(nbr: tuple[int, ...], live: int) -> int:
+    """Vertices of a greedily built maximal matching of the graph on
+    live: each vertex in increasing id, if still unmatched, takes its
+    smallest unmatched live neighbor."""
+    used = 0
+    for u in bits(live):
+        if not used >> u & 1:
+            free = nbr[u] & live & ~used
+            if free:
+                used |= 1 << u | (free & -free)
+    return used
 
 
 def min_vertex_cover(g: ColoredGraph) -> VertexCover:
@@ -78,113 +73,82 @@ def min_vertex_cover(g: ColoredGraph) -> VertexCover:
     Reductions: isolated vertices are dropped; a degree-1 vertex forces
     its neighbor into the cover. Branching picks a maximum-degree vertex
     v (smallest id on ties) and tries "v in cover" then "N(v) in cover";
-    a greedy-matching lower bound prunes against the incumbent. Fully
-    deterministic for a given graph. Intended for covers up to ~25.
+    a greedy-matching lower bound (each matched edge needs a cover
+    vertex of its own) prunes against the incumbent, which starts as
+    the matched vertices. Fully deterministic for a given graph.
+    Intended for covers up to ~25.
     """
-    adj: dict[int, set[int]] = {}
-    for u, v, _ in g.edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+    nbr = g.neighbor_masks()
+    best = [_greedy_matching(nbr, g.alive)]
 
-    # Greedy maximal-matching cover as the starting incumbent.
-    incumbent: set[int] = set()
-    seen: set[int] = set()
-    for u in sorted(adj):
-        if u in seen:
-            continue
-        for v in sorted(adj[u]):
-            if v not in seen:
-                seen.add(u)
-                seen.add(v)
-                incumbent.update((u, v))
-                break
-    best = [incumbent]
-
-    def reduce(adj: dict[int, set[int]], chosen: set[int]) -> bool:
-        """Apply degree-0/1 reductions in place; False when pruned."""
-        changed = True
-        while changed:
-            changed = False
-            for v in sorted(adj):
-                deg = len(adj[v])
-                if deg == 0:
-                    del adj[v]
-                    changed = True
-                elif deg == 1:
-                    u = next(iter(adj[v]))
-                    chosen.add(u)
-                    for w in adj[u]:
-                        adj[w].discard(u)
-                    del adj[u]
-                    del adj[v]
-                    changed = True
-                if changed:
+    def reduce(live: int, chosen: int) -> tuple[int, int]:
+        """Apply the degree-0/1 reductions, always to the smallest
+        vertex first; returns the reduced (live, chosen)."""
+        while True:
+            for v in bits(live):
+                adj = nbr[v] & live
+                if not adj:
+                    live &= ~(1 << v)
+                elif not adj & (adj - 1):
+                    chosen |= adj
+                    live &= ~(adj | 1 << v)
                     break
-        return len(chosen) + _greedy_matching_size(adj) < len(best[0])
+            else:
+                return live, chosen
 
-    def branch(adj: dict[int, set[int]], chosen: set[int]):
-        if not reduce(adj, chosen):
+    def branch(live: int, chosen: int) -> None:
+        live, chosen = reduce(live, chosen)
+        bound = chosen.bit_count() + _greedy_matching(nbr, live).bit_count() // 2
+        if bound >= best[0].bit_count():
             return
-        if not adj:
-            best[0] = set(chosen)
+        if not live:
+            best[0] = chosen
             return
-        v = max(sorted(adj), key=lambda x: len(adj[x]))
-        # v in the cover
-        adj_a = {x: set(ys) for x, ys in adj.items()}
-        for w in adj_a.pop(v):
-            adj_a[w].discard(v)
-        branch(adj_a, chosen | {v})
-        # N(v) in the cover
-        neighbors = set(adj[v])
-        adj_b = {x: set(ys) for x, ys in adj.items() if x not in neighbors}
-        for x in adj_b:
-            adj_b[x] -= neighbors
-        branch(adj_b, chosen | neighbors)
+        v = max(bits(live), key=lambda x: (nbr[x] & live).bit_count())
+        branch(live & ~(1 << v), chosen | 1 << v)
+        neighbors = nbr[v] & live
+        branch(live & ~neighbors, chosen | neighbors)
 
-    branch(adj, set())
-    return VertexCover(frozenset(best[0]))
-
-
-def colored_twins(g: ColoredGraph, u: int, v: int, ignore_colors: bool) -> bool:
-    """Twin test: u and v look the same from every other vertex."""
-    for w in g.alive_vertices():
-        if w == u or w == v:
-            continue
-        cu, cv = g.color_of(u, w), g.color_of(v, w)
-        if ignore_colors:
-            if (cu is None) != (cv is None):
-                return False
-        elif cu is not cv:
-            return False
-    return True
+    branch(g.alive, 0)
+    return VertexCover(frozenset(bits(best[0])))
 
 
 def nd_partition(g: ColoredGraph, ignore_colors: bool = False) -> ModulePartition:
     """Coarsest partition of the alive vertices into twin modules.
 
-    The pairwise twin relation (same colored adjacency toward every
-    third vertex) is transitive, so its equivalence classes are the
-    unique minimum-size valid partition; the module count is the
-    (colored) neighborhood diversity. Isolated vertices are twins of
-    each other and share one module.
+    Twins look the same from every third vertex, a transitive relation,
+    so its equivalence classes are the unique minimum-size valid
+    partition; the module count is the (colored) neighborhood diversity.
+    Vertices are grouped by their neighbor masks, one per edge color
+    (one in all when ignore_colors): non-adjacent twins have equal
+    masks, and twins joined by an edge of color c have equal masks once
+    each vertex's own bit is added to its color-c mask. Isolated
+    vertices are twins of each other and share one module.
     """
+    slots = 1 if ignore_colors else len(Color)
+    masks = [[0] * g.n for _ in range(slots)]
+    for u, v, c in g.edges:
+        slot = masks[0 if ignore_colors else c - 1]
+        slot[u] |= 1 << v
+        slot[v] |= 1 << u
+    groups: dict[tuple, list[int]] = {}
     verts = g.alive_vertices()
-    modules: list[list[int]] = []
-    assigned: set[int] = set()
-    for u in verts:
-        if u in assigned:
-            continue
-        module = [u]
-        assigned.add(u)
-        for v in verts:
-            if v in assigned or v <= u:
-                continue
-            if colored_twins(g, u, v, ignore_colors):
-                module.append(v)
-                assigned.add(v)
-        modules.append(module)
+    for v in verts:
+        sig = tuple(slot[v] for slot in masks)
+        groups.setdefault((-1, sig), []).append(v)
+        for i in range(slots):
+            closed = sig[:i] + (sig[i] | 1 << v,) + sig[i + 1 :]
+            groups.setdefault((i, closed), []).append(v)
+    # A vertex's twins are all non-adjacent to it or all joined to it in
+    # one color, so it lies in at most one group of two or more.
+    module_of = {v: members for members in groups.values() if len(members) > 1 for v in members}
+    modules = []
+    for v in verts:
+        members = module_of.get(v, [v])
+        if members[0] == v:
+            modules.append(tuple(members))
     kind = "twin" if ignore_colors else "colored-twin"
-    return ModulePartition(tuple(tuple(m) for m in modules), kind)
+    return ModulePartition(tuple(modules), kind)
 
 
 def _check_cover(g: ColoredGraph, cover, mask: int) -> None:

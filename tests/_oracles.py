@@ -251,6 +251,28 @@ def forest_oracle(lettered_edges, alive):
     return None
 
 
+def twin_classes_oracle(lettered_edges, alive, ignore_colors=False):
+    """Twin classes of the vertex set `alive` by the pairwise test: u and
+    v are twins when every third alive vertex is joined to both by the
+    same letter, or to neither (with ignore_colors: to both or to
+    neither). Classes are sorted tuples, ordered by smallest member."""
+    letter = {}
+    for u, v, c in lettered_edges:
+        if u in alive and v in alive:
+            letter[u, v] = letter[v, u] = "g" if ignore_colors else c
+
+    def twins(u, v):
+        return all(letter.get((u, w)) == letter.get((v, w)) for w in alive if w not in (u, v))
+
+    classes, placed = [], set()
+    for u in sorted(alive):
+        if u not in placed:
+            module = [u] + [v for v in sorted(alive) if v > u and v not in placed and twins(u, v)]
+            placed.update(module)
+            classes.append(tuple(module))
+    return tuple(classes)
+
+
 def tree_code_oracle(n, pairs):
     """Canonical code of a tree on 0..n-1: the smallest recursive rooted
     shape string over its centroids, the vertices whose removal leaves

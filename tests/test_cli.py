@@ -350,3 +350,52 @@ def test_too_deep_tree_search_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "recursion limit" in proc.stderr
+
+
+def test_suite_field_types_exit_2(tmp_path, capsys):
+    cases = {
+        "suite spec must be a JSON object": [{"generator": "grid"}],
+        "suite field 'turn' must be a JSON string": {"turn": 1, "suites": []},
+        "suite entry field 'turn' must be a JSON string": {
+            "suites": [{"generator": "grid", "grid": {"rows": [2], "cols": [2]}, "turn": 1}]
+        },
+        "suite field 'engines' must be a JSON list": {"engines": "subset", "suites": []},
+        "suite entry field 'engines' must be a JSON list": {
+            "suites": [{"generator": "grid", "grid": {"rows": [2], "cols": [2]}, "engines": "nd"}]
+        },
+        "suite field 'seed' must be a JSON integer": {"seed": [1], "suites": []},
+        "suite entry field 'repetitions' must be a JSON integer": {
+            "suites": [{"generator": "random", "grid": {"n": [4], "p": [0.5]}, "repetitions": {}}]
+        },
+        "suite entry field 'grid' must be a JSON object": {
+            "suites": [{"generator": "grid", "grid": [2, 2]}]
+        },
+    }
+    suite = tmp_path / "suite.json"
+    for message, spec in cases.items():
+        suite.write_text(json.dumps(spec))
+        code, _, stderr = invoke(capsys, "bench", "--suite", str(suite))
+        assert code == 2
+        assert stderr == f"error: {message}\n"
+
+
+def test_ids_are_checked_one_based_at_the_cli_edge(tmp_path, capsys):
+    p3 = write_cak(tmp_path, build(3, [(0, 1, "g"), (1, 2, "g")]))
+    part = tmp_path / "part.json"
+    cases = {
+        "cover vertex 0 out of range 1..3": ("solve", "-f", p3, "-e", "vc", "--cover", "0"),
+        "cover vertex 9 out of range 1..3": ("solve", "-f", p3, "-e", "vc", "--cover", "2,9"),
+        "partition vertex 4 out of range 1..3": (
+            "solve", "-f", p3, "-e", "nd", "--partition", str(part)
+        ),
+        "root 0 out of range 1..3": ("count", "ak-subtrees", "-f", p3, "--root", "0"),
+        "root 4 out of range 1..3": ("count", "nk-subtrees", "-f", p3, "--root", "4"),
+    }
+    part.write_text("[[1, 3], [2], [4]]")
+    for message, argv in cases.items():
+        code, _, stderr = invoke(capsys, *argv)
+        assert code == 2
+        assert stderr == f"error: {message}\n"
+    code, stdout, _ = invoke(capsys, "solve", "-f", p3, "-e", "vc", "--cover", "2")
+    assert code == 0
+    assert json.loads(stdout)["winner"] == "B"

@@ -212,3 +212,31 @@ def test_random_rejects_bad_input():
         gen_random(4, 0.5, (0, 0, 0))
     with pytest.raises(ValueError):
         gen_random(4, 0.5, (1, -1, 1))
+
+
+def test_every_generator_checks_the_vertex_budget(monkeypatch):
+    monkeypatch.setenv(VERTEX_BUDGET_ENV, "12")
+    fitting = (
+        lambda: gen_grid(3, 4),
+        lambda: gen_caterpillar_kayles(6),
+        lambda: gen_lower_nd(3, 2),
+        lambda: gen_random(12, 0.5),
+    )
+    for make in fitting:
+        assert make().n <= 12
+    too_big = {
+        "grid rows=3 cols=5 needs n=15": lambda: gen_grid(3, 5),
+        "caterpillar pins=7 needs n=14": lambda: gen_caterpillar_kayles(7),
+        "lower-vc k=4 needs n=36": lambda: gen_lower_vc(4),
+        "lower-nd k=3 s=4 needs n=15": lambda: gen_lower_nd(3, 4),
+        "random n=13 needs n=13": lambda: gen_random(13, 0.5),
+    }
+    for message, make in too_big.items():
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == (
+            f"{message} vertices, over the budget of 12 (raise {VERTEX_BUDGET_ENV} to allow it)"
+        )
+    monkeypatch.delenv(VERTEX_BUDGET_ENV)
+    with pytest.raises(ValueError, match="over the budget"):
+        gen_grid(100000, 100000)  # refused before any edge is built

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cak import (
     ColoredGraph,
     VertexCover,
     equivalence_classes,
+    gen_grid,
     gen_lower_vc,
     gen_random,
     min_vertex_cover,
@@ -16,7 +18,12 @@ from cak import (
 )
 from cak.params import as_cover
 
-from _oracles import build, exhaustive_min_cover_size, random_lettered_edges
+from _oracles import (
+    build,
+    exhaustive_min_cover_size,
+    random_lettered_edges,
+    twin_classes_oracle,
+)
 
 
 def _is_cover(g, vertices):
@@ -54,6 +61,77 @@ def test_min_cover_matches_exhaustive():
 def test_min_cover_deterministic():
     g = gen_random(10, 0.5, seed=5)
     assert min_vertex_cover(g).vertices == min_vertex_cover(g).vertices
+
+
+C4 = build(4, [(0, 1, "g"), (1, 2, "g"), (2, 3, "g"), (0, 3, "g")])
+
+# Covers min_vertex_cover returned before it moved onto neighbour masks:
+# each graph has several minimum covers, so these pin the tie-breaks.
+PINNED_COVERS = [
+    (C4, [0, 2]),
+    (gen_grid(3, 3), [1, 3, 5, 7]),
+    (gen_grid(4, 4), [0, 2, 5, 7, 8, 10, 13, 15]),
+    (gen_grid(5, 5, "domineering"), [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23]),
+    # the greedy incumbent is already minimum, so it is what comes back
+    (gen_random(12, 0.5, seed=57), [0, 1, 2, 3, 4, 5, 6, 7]),
+    (gen_random(12, 0.5, seed=58), [0, 1, 2, 3, 4, 5, 7, 8]),
+    *(
+        (gen_random(16 + seed % 5 * 3, 0.25, seed=seed), cover)
+        for seed, cover in enumerate(
+            [
+                [0, 2, 3, 6, 7, 10, 11, 13, 14, 15],
+                [3, 5, 6, 8, 9, 10, 11, 12, 15, 16, 17],
+                [4, 6, 7, 9, 10, 13, 15, 16, 17, 18, 19, 21],
+                [0, 1, 3, 5, 6, 7, 10, 11, 12, 13, 14, 17, 18, 19, 22, 23],
+                [0, 3, 4, 5, 6, 7, 8, 9, 10, 14, 15, 17, 18, 20, 22, 23, 24, 26, 27],
+                [1, 3, 4, 6, 10, 11, 13, 15],
+                [0, 2, 5, 6, 9, 10, 13, 14, 15, 16, 17],
+                [0, 1, 4, 6, 7, 8, 14, 16, 17, 18, 19, 20, 21],
+                [0, 1, 4, 5, 6, 7, 9, 10, 13, 15, 16, 17, 20, 22, 23, 24],
+                [0, 1, 3, 4, 6, 7, 8, 12, 15, 16, 17, 18, 19, 20, 21, 22, 23, 27],
+                [0, 6, 7, 10, 11, 12, 13, 14, 15],
+                [0, 1, 7, 8, 12, 14, 15, 17, 18],
+                [0, 2, 5, 6, 9, 10, 12, 13, 14, 16, 17, 18, 19],
+                [2, 3, 5, 6, 7, 8, 9, 11, 12, 14, 15, 17, 20, 22, 24],
+                [1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 13, 14, 15, 16, 19, 22, 23, 25, 26],
+                [1, 4, 5, 6, 7, 8, 10, 11, 14],
+                [0, 2, 10, 11, 12, 13, 14, 16, 17, 18],
+                [0, 1, 2, 4, 7, 8, 12, 13, 14, 16, 17, 18, 19, 21],
+                [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 15, 17, 21, 22, 23],
+                [0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11, 12, 15, 16, 18, 20, 23, 24, 26, 27],
+            ]
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("g, cover", PINNED_COVERS)
+def test_min_cover_pins_the_chosen_cover(g, cover):
+    assert sorted(min_vertex_cover(g).vertices) == cover
+
+
+@st.composite
+def graphs_with_alive_sets(draw):
+    """(n, lettered edges, alive set). "-" leaves a pair unjoined; the
+    one-letter and sparse palettes give twins often. Three vertices in
+    four are alive."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    alphabet = draw(st.sampled_from(["-g", "--gbw", "-gb", "gw", "----g", "g"]))
+    letters = draw(st.lists(st.sampled_from(alphabet), min_size=len(pairs), max_size=len(pairs)))
+    lettered = [(u, v, c) for (u, v), c in zip(pairs, letters) if c != "-"]
+    alive = draw(st.lists(st.sampled_from([1, 1, 1, 0]), min_size=n, max_size=n))
+    return n, lettered, {v for v in range(n) if alive[v]}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(graphs_with_alive_sets(), st.booleans())
+def test_nd_partition_matches_pairwise_oracle(case, ignore_colors):
+    n, lettered, alive = case
+    inside = [(u, v, c) for u, v, c in lettered if u in alive and v in alive]
+    g = build(n, inside, alive=sum(1 << v for v in alive))
+    expected = twin_classes_oracle(lettered, alive, ignore_colors)
+    assert nd_partition(g, ignore_colors).modules == expected
 
 
 def test_nd_partition_k3():
