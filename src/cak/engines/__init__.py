@@ -14,7 +14,7 @@ from inspect import signature
 from typing import Callable, Iterable
 
 from ..graph import ColoredGraph, Player
-from ..params import min_vertex_cover
+from ..params import cover_at_most
 from .common import CapacityError, Outcome, SearchStats
 from .naive import grundy_naive, solve_naive
 from .nd import count_nd_positions, solve_nd
@@ -55,7 +55,7 @@ def pick_auto_engine(g: ColoredGraph, vc_threshold: int = 8) -> str:
         pass
     else:
         return "tree"
-    if min_vertex_cover(g).size <= vc_threshold:
+    if cover_at_most(g, vc_threshold):
         return "vc"
     return "subset"
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from ..graph import ColoredGraph, Player
 
@@ -48,6 +50,21 @@ def playable_edges(g: ColoredGraph, player: Player) -> tuple[Move, ...]:
     return tuple((u, v, 1 << u | 1 << v) for u, v, c in g.edges if player.can_play(c))
 
 
+@contextmanager
+def recursion_capacity() -> Iterator[None]:
+    """Turn a RecursionError inside the block into a CapacityError. The
+    searches recurse once per move played, so a long enough game outruns
+    Python's recursion limit; that is a size limit, not a crash."""
+    try:
+        yield
+    except RecursionError:
+        raise CapacityError(
+            "search needs more nested calls than the recursion limit"
+            f" ({sys.getrecursionlimit()}) allows; the position is too"
+            " large for this engine"
+        ) from None
+
+
 def search(
     g: ColoredGraph,
     turn: Player,
@@ -88,7 +105,8 @@ def search(
         memo[k] = found is not None
         return found
 
-    move = first_win(g.alive, turn)  # the root is never a memo hit
+    with recursion_capacity():
+        move = first_win(g.alive, turn)  # the root is never a memo hit
     stats.distinct_keys = len(memo)
     stats.elapsed = perf_counter() - started
     winner = turn if move is not None else turn.opponent

@@ -17,6 +17,7 @@ from .common import (
     SearchStats,
     mex,
     playable_edges,
+    recursion_capacity,
     resolve_alive,
     split_components,
 )
@@ -39,10 +40,11 @@ def solve_naive(g: ColoredGraph, turn: Player, alive: Optional[int] = None) -> O
     stats.node_expansions += 1
     move = None
     opp = turn.opponent
-    for u, v, em in edges[turn]:
-        if mask0 & em == em and not wins(mask0 & ~em, opp):
-            move = (u, v)
-            break
+    with recursion_capacity():
+        for u, v, em in edges[turn]:
+            if mask0 & em == em and not wins(mask0 & ~em, opp):
+                move = (u, v)
+                break
     stats.elapsed = perf_counter() - t0
     winner = turn if move is not None else opp
     return Outcome(winner, move, stats)
@@ -78,4 +80,5 @@ def grundy_naive(g: ColoredGraph, alive: Optional[int] = None) -> int:
                 child_values.add(value(comp & ~em))
         return mex(child_values)
 
-    return value(mask0)
+    with recursion_capacity():
+        return value(mask0)

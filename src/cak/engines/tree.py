@@ -16,17 +16,15 @@ what bounds the canonical-form memo.
 
 from __future__ import annotations
 
-import itertools
-import sys
 from time import perf_counter
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..graph import Color, ColoredGraph, Player, bits
 from .common import (
-    CapacityError,
     Outcome,
     SearchStats,
     mex,
+    recursion_capacity,
     resolve_alive,
     split_components,
 )
@@ -47,7 +45,7 @@ def check_gray_forest(g: ColoredGraph, mask: int) -> None:
         raise ValueError("not a forest: alive subgraph contains a cycle")
 
 
-def _code_from_combo(kept: list[str]) -> str:
+def _code_from_combo(kept: Iterable[str]) -> str:
     return "(" + "".join(sorted(kept)) + ")"
 
 
@@ -131,19 +129,6 @@ class _ForestValuer:
         self.by_mask: dict[int, int] = {}  # component mask -> value
         self.stats = SearchStats()
 
-    def value(self, mask: int) -> int:
-        """forest_value from the top of a search. The search recurses
-        once per move played, so a long enough forest outruns Python's
-        recursion limit; that is a size limit, not a crash."""
-        try:
-            return self.forest_value(mask)
-        except RecursionError:
-            raise CapacityError(
-                "tree search needs more nested calls than the recursion limit"
-                f" ({sys.getrecursionlimit()}) allows; the position is too"
-                " large for the tree engine"
-            ) from None
-
     def forest_value(self, mask: int) -> int:
         total = 0
         for comp in split_components(mask, self.nbr):
@@ -178,7 +163,8 @@ def grundy_tree(g: ColoredGraph, alive: Optional[int] = None) -> int:
     """Sprague-Grundy value of an all-gray forest position."""
     mask = resolve_alive(g, alive)
     check_gray_forest(g, mask)
-    return _ForestValuer(g).value(mask)
+    with recursion_capacity():
+        return _ForestValuer(g).forest_value(mask)
 
 
 def solve_tree(g: ColoredGraph, turn: Player, alive: Optional[int] = None) -> Outcome:
@@ -189,14 +175,15 @@ def solve_tree(g: ColoredGraph, turn: Player, alive: Optional[int] = None) -> Ou
     mask = resolve_alive(g, alive)
     check_gray_forest(g, mask)
     valuer = _ForestValuer(g)
-    value = valuer.value(mask)
     move = None
-    if value:
-        for u, v, _ in g.edges:
-            em = 1 << u | 1 << v
-            if mask & em == em and valuer.value(mask & ~em) == 0:
-                move = (u, v)
-                break
+    with recursion_capacity():
+        value = valuer.forest_value(mask)
+        if value:
+            for u, v, _ in g.edges:
+                em = 1 << u | 1 << v
+                if mask & em == em and valuer.forest_value(mask & ~em) == 0:
+                    move = (u, v)
+                    break
     stats = valuer.stats
     stats.elapsed = perf_counter() - t0
     winner = turn if value else turn.opponent
@@ -228,12 +215,16 @@ def _kept_shapes(
     children: list[int], shapes: dict[int, set[str]], vanishes: dict[int, bool]
 ) -> set[str]:
     """Rooted shapes a vertex can keep: each child stays with one of its
-    own shapes, or disappears entirely where vanishes[child] holds."""
-    options = [list(shapes[c]) + ([None] if vanishes[c] else []) for c in children]
-    return {
-        _code_from_combo([x for x in combo if x is not None])
-        for combo in itertools.product(*options)
-    }
+    own shapes, or disappears entirely where vanishes[child] holds. The
+    children join one at a time, each kept choice a sorted multiset of
+    child shapes, so equal partial choices merge before the next child."""
+    partial: set[tuple[str, ...]] = {()}
+    for c in children:
+        grown = {tuple(sorted(kept + (shape,))) for kept in partial for shape in shapes[c]}
+        if vanishes[c]:
+            grown |= partial
+        partial = grown
+    return {_code_from_combo(kept) for kept in partial}
 
 
 def count_ak_subtrees(g: ColoredGraph, root: int) -> int:

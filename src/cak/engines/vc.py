@@ -3,10 +3,11 @@
 Fix a vertex cover S of the start graph (it stays fixed for the whole
 search; every move kills at least one cover vertex, so recursion depth
 is at most |S|). Two positions are merged when the surviving cover
-vertices match and the non-cover vertices, grouped by their vector of
-edge colors toward the surviving cover, match as a multiset of
-(vector, count) pairs. Merged positions are isomorphic via any
-class-preserving bijection, so they share a game value.
+vertices match and the non-cover vertices, grouped by their gray, black
+and white neighbor masks within the surviving cover (equivalently, by
+their vector of edge colors toward it), match as a multiset of (class,
+count) pairs. Merged positions are isomorphic via any class-preserving
+bijection, so they share a game value.
 
 Moves are restricted to cover-internal edges plus, per class, the edges
 of the class representative (smallest alive member): any playable edge
@@ -23,8 +24,8 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Iterable, Optional
 
-from ..graph import Color, ColoredGraph, Player
-from ..params import as_cover, cover_classes, min_vertex_cover
+from ..graph import Color, ColoredGraph, Player, bits
+from ..params import as_cover, class_vector, cover_classes, min_vertex_cover
 from .common import Move, Outcome, SearchStats, resolve_alive, search
 
 VcKey = tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...], Player]
@@ -37,46 +38,41 @@ class _CoverSearch:
         else:
             cover_set = as_cover(g, cover)
         self.g = g
-        self.cover = tuple(sorted(cover_set))
-        self.noncover = tuple(v for v in range(g.n) if v not in cover_set)
+        self.cover_mask = sum(1 << v for v in cover_set)
         self.nbr = g.neighbor_masks()
         self.internal = tuple(
             (u, v, c) for u, v, c in g.edges if u in cover_set and v in cover_set
         )
 
-    def classes(self, mask: int, alive_cover: tuple[int, ...]):
-        """Class vector -> sorted alive members, all-absent vectors dropped."""
-        classes = cover_classes(self.g, mask, alive_cover, self.noncover)
-        classes.pop((0,) * len(alive_cover), None)
-        return classes
-
-    def key(self, mask: int, player: Player) -> VcKey:
-        alive_cover = tuple(
-            s for s in self.cover if mask >> s & 1 and self.nbr[s] & mask
-        )
-        classes = self.classes(mask, alive_cover)
-        counts = tuple(sorted((vec, len(members)) for vec, members in classes.items()))
+    def key(self, mask: int, player: Player):
+        """Also keeps the classes for candidates, which search calls next."""
+        alive_cover = sum(1 << s for s in bits(mask & self.cover_mask) if self.nbr[s] & mask)
+        self.layout = layout = cover_classes(self.g, mask & ~self.cover_mask, alive_cover)
+        layout.pop((0, 0, 0), None)
+        counts = tuple(sorted((masks, len(members)) for masks, members in layout.items()))
         return (alive_cover, counts, player)
 
-    def candidates(self, mask: int, player: Player, key: VcKey) -> list[Move]:
-        alive_cover = key[0]
-        moves = set()
+    def candidates(self, mask: int, player: Player, key) -> list[Move]:
+        moves = []
         for u, v, c in self.internal:
             if mask >> u & 1 and mask >> v & 1 and player.can_play(c):
-                moves.add((u, v, 1 << u | 1 << v))
-        for vector, members in self.classes(mask, alive_cover).items():
+                moves.append((u, v, 1 << u | 1 << v))
+        gray, own = (i for i, c in enumerate(Color) if player.can_play(c))
+        for masks, members in self.layout.items():
             rep = members[0]
-            for u, code in zip(alive_cover, vector):
-                if code and player.can_play(Color(code)):
-                    moves.add((min(u, rep), max(u, rep), 1 << u | 1 << rep))
+            for u in bits(masks[gray] | masks[own]):
+                moves.append((min(u, rep), max(u, rep), 1 << u | 1 << rep))
         return sorted(moves)
 
 
 def vc_canonical_key(
     g: ColoredGraph, alive: Optional[int], cover: Iterable[int], turn: Player
 ) -> VcKey:
-    """Memo key of a position for a fixed cover (exposed for testing)."""
-    return _CoverSearch(g, cover).key(resolve_alive(g, alive), turn)
+    """Memo key of a position for a fixed cover (exposed for testing),
+    with each class's color masks given as its vector."""
+    alive_cover, counts, player = _CoverSearch(g, cover).key(resolve_alive(g, alive), turn)
+    order = tuple(bits(alive_cover))
+    return (order, tuple(sorted((class_vector(m, order), n) for m, n in counts)), player)
 
 
 def _run(

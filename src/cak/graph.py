@@ -119,8 +119,8 @@ class ColoredGraph:
     n: int
     edges: tuple[Edge, ...]
     alive: Optional[int] = None
-    _color: dict = field(init=False, repr=False, compare=False)
     _nbr: tuple = field(init=False, repr=False, compare=False)
+    _by_color: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 0:
@@ -131,8 +131,8 @@ class ColoredGraph:
             alive = full
         if not isinstance(alive, int) or alive < 0 or alive & ~full:
             raise ValueError("alive mask out of range for vertex universe")
-        colors: dict[tuple[int, int], Color] = {}
         nbr = [0] * self.n
+        by_color = [[0] * self.n for _ in Color]
         normalized = []
         for edge in self.edges:
             u, v, c = edge
@@ -142,20 +142,20 @@ class ColoredGraph:
                 raise ValueError(f"self-loop not allowed: {edge!r}")
             if u > v:
                 u, v = v, u
-            if (u, v) in colors:
+            if nbr[u] >> v & 1:
                 raise ValueError(f"duplicate edge {{{u}, {v}}}")
             if not alive >> u & 1 or not alive >> v & 1:
                 raise ValueError(f"edge {{{u}, {v}}} has a dead endpoint")
             c = Color(c)
-            colors[(u, v)] = c
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
+            for masks in (nbr, by_color[c - 1]):
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
             normalized.append((u, v, c))
         normalized.sort()
         object.__setattr__(self, "edges", tuple(normalized))
         object.__setattr__(self, "alive", alive)
-        object.__setattr__(self, "_color", colors)
         object.__setattr__(self, "_nbr", tuple(nbr))
+        object.__setattr__(self, "_by_color", tuple(map(tuple, by_color)))
 
     @property
     def m(self) -> int:
@@ -174,13 +174,19 @@ class ColoredGraph:
 
     def color_of(self, u: int, v: int) -> Optional[Color]:
         """Color of edge {u, v}, or None when the pair is not adjacent."""
-        if u > v:
-            u, v = v, u
-        return self._color.get((u, v))
+        if 0 <= u < self.n and 0 <= v < self.n:
+            for color, masks in zip(Color, self._by_color):
+                if masks[u] >> v & 1:
+                    return color
+        return None
 
     def neighbor_masks(self) -> tuple[int, ...]:
         """Bitmask of each vertex's neighbors over the stored edges."""
         return self._nbr
+
+    def color_masks(self) -> tuple[tuple[int, ...], ...]:
+        """neighbor_masks split by edge color, one tuple per Color in order."""
+        return self._by_color
 
     def colors_present(self) -> set[Color]:
         return {c for _, _, c in self.edges}

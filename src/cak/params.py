@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Color, ColoredGraph, bits
+from .graph import ColoredGraph, bits
 
 
 @dataclass(frozen=True)
@@ -67,19 +67,18 @@ def _greedy_matching(nbr: tuple[int, ...], live: int) -> int:
     return used
 
 
-def min_vertex_cover(g: ColoredGraph) -> VertexCover:
-    """Exact minimum vertex cover by branch and bound.
+def _cover_below(nbr: tuple[int, ...], live: int, limit: int) -> Optional[int]:
+    """Branch and bound for a vertex cover of the graph on live with
+    fewer than limit vertices: the first minimum one found, or None.
 
     Reductions: isolated vertices are dropped; a degree-1 vertex forces
     its neighbor into the cover. Branching picks a maximum-degree vertex
     v (smallest id on ties) and tries "v in cover" then "N(v) in cover";
     a greedy-matching lower bound (each matched edge needs a cover
-    vertex of its own) prunes against the incumbent, which starts as
-    the matched vertices. Fully deterministic for a given graph.
-    Intended for covers up to ~25.
+    vertex of its own) prunes against the size to beat: limit, then the
+    size of the best cover found.
     """
-    nbr = g.neighbor_masks()
-    best = [_greedy_matching(nbr, g.alive)]
+    best: list = [None, limit]  # cover found, size to beat
 
     def reduce(live: int, chosen: int) -> tuple[int, int]:
         """Apply the degree-0/1 reductions, always to the smallest
@@ -99,18 +98,37 @@ def min_vertex_cover(g: ColoredGraph) -> VertexCover:
     def branch(live: int, chosen: int) -> None:
         live, chosen = reduce(live, chosen)
         bound = chosen.bit_count() + _greedy_matching(nbr, live).bit_count() // 2
-        if bound >= best[0].bit_count():
+        if bound >= best[1]:
             return
         if not live:
-            best[0] = chosen
+            best[:] = [chosen, chosen.bit_count()]
             return
         v = max(bits(live), key=lambda x: (nbr[x] & live).bit_count())
         branch(live & ~(1 << v), chosen | 1 << v)
         neighbors = nbr[v] & live
         branch(live & ~neighbors, chosen | neighbors)
 
-    branch(g.alive, 0)
-    return VertexCover(frozenset(bits(best[0])))
+    branch(live, 0)
+    return best[0]
+
+
+def min_vertex_cover(g: ColoredGraph) -> VertexCover:
+    """Exact minimum vertex cover: the greedy-matching vertices, unless
+    the branch and bound finds a smaller cover. Fully deterministic for
+    a given graph; exponential in the cover size, so intended for covers
+    up to ~25.
+    """
+    nbr = g.neighbor_masks()
+    greedy = _greedy_matching(nbr, g.alive)
+    found = _cover_below(nbr, g.alive, greedy.bit_count())
+    return VertexCover(frozenset(bits(greedy if found is None else found)))
+
+
+def cover_at_most(g: ColoredGraph, k: int) -> bool:
+    """Whether g has a vertex cover of at most k vertices. Every branch
+    chooses one vertex or more and is cut before k + 1, so the search
+    visits O(2^k) nodes however large the cover really is."""
+    return _cover_below(g.neighbor_masks(), g.alive, k + 1) is not None
 
 
 def nd_partition(g: ColoredGraph, ignore_colors: bool = False) -> ModulePartition:
@@ -125,18 +143,13 @@ def nd_partition(g: ColoredGraph, ignore_colors: bool = False) -> ModulePartitio
     each vertex's own bit is added to its color-c mask. Isolated
     vertices are twins of each other and share one module.
     """
-    slots = 1 if ignore_colors else len(Color)
-    masks = [[0] * g.n for _ in range(slots)]
-    for u, v, c in g.edges:
-        slot = masks[0 if ignore_colors else c - 1]
-        slot[u] |= 1 << v
-        slot[v] |= 1 << u
+    masks = (g.neighbor_masks(),) if ignore_colors else g.color_masks()
     groups: dict[tuple, list[int]] = {}
     verts = g.alive_vertices()
     for v in verts:
         sig = tuple(slot[v] for slot in masks)
         groups.setdefault((-1, sig), []).append(v)
-        for i in range(slots):
+        for i in range(len(masks)):
             closed = sig[:i] + (sig[i] | 1 << v,) + sig[i + 1 :]
             groups.setdefault((i, closed), []).append(v)
     # A vertex's twins are all non-adjacent to it or all joined to it in
@@ -172,20 +185,22 @@ def as_cover(g: ColoredGraph, cover) -> frozenset[int]:
 
 
 def cover_classes(
-    g: ColoredGraph, mask: int, cover_order: tuple[int, ...], noncover: Iterable[int]
-) -> dict[tuple[int, ...], list[int]]:
-    """The alive vertices of noncover grouped by their vector of edge
-    colors toward cover_order: one entry per cover vertex, 0 for absent
-    and the Color value otherwise. Members keep noncover's order."""
-    color_of = g.color_of
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for v in noncover:
-        if mask >> v & 1:
-            vector = tuple(
-                0 if (c := color_of(v, u)) is None else int(c) for u in cover_order
-            )
-            classes.setdefault(vector, []).append(v)
+    g: ColoredGraph, noncover: int, cover: int
+) -> dict[tuple[int, int, int], list[int]]:
+    """The vertices of the mask noncover, in increasing id, grouped by
+    their gray, black and white neighbor masks within the mask cover.
+    Given cover, these masks and the class vector fix each other."""
+    gray, black, white = g.color_masks()
+    classes: dict[tuple[int, int, int], list[int]] = {}
+    for v in bits(noncover):
+        classes.setdefault((gray[v] & cover, black[v] & cover, white[v] & cover), []).append(v)
     return classes
+
+
+def class_vector(masks: tuple[int, int, int], order: tuple[int, ...]) -> tuple[int, ...]:
+    """A class's color masks as its vector of Color values toward order, 0 for absent."""
+    gray, black, white = masks
+    return tuple((gray >> u & 1) + (black >> u & 1) * 2 + (white >> u & 1) * 3 for u in order)
 
 
 def equivalence_classes(
@@ -198,11 +213,12 @@ def equivalence_classes(
     if mask & ~g.alive:
         raise ValueError("alive mask keeps a dead vertex")
     cover_set = set(min_vertex_cover(g).vertices if cover is None else cover)
-    cover_order = tuple(v for v in sorted(cover_set) if mask >> v & 1)
-    noncover = [v for v in range(g.n) if v not in cover_set]
+    alive_cover = sum(1 << v for v in cover_set) & mask
+    cover_order = tuple(bits(alive_cover))
     _check_cover(g, cover_set, mask)
-    members = cover_classes(g, mask, cover_order, noncover)
-    return EquivalenceClasses(cover_order, {k: tuple(v) for k, v in sorted(members.items())})
+    members = cover_classes(g, mask & ~alive_cover, alive_cover)
+    vectors = {class_vector(k, cover_order): tuple(v) for k, v in members.items()}
+    return EquivalenceClasses(cover_order, dict(sorted(vectors.items())))
 
 
 def representative_edges(

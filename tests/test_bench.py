@@ -167,3 +167,9 @@ def test_pick_auto_engine():
     assert pick_auto_engine(k12) == "subset"  # tau 11 over the threshold
     forest_with_colors = build(2, [(0, 1, "b")])
     assert pick_auto_engine(forest_with_colors) == "vc"
+
+
+def test_pick_auto_engine_bounds_the_cover_search():
+    # a greedy matching has 95 edges, so tau is far over the threshold
+    assert pick_auto_engine(gen_random(200, 0.05)) == "subset"
+    assert pick_auto_engine(gen_grid(2, 2), vc_threshold=2) == "vc"  # tau 2

@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from cak import gen_caterpillar_kayles, gen_grid, serialize_graph
+from cak import gen_caterpillar_kayles, gen_grid, gen_random, serialize_graph
 from cak.bench import BenchConsistencyError
 from cak.cli import main
 
@@ -399,3 +399,19 @@ def test_ids_are_checked_one_based_at_the_cli_edge(tmp_path, capsys):
     code, stdout, _ = invoke(capsys, "solve", "-f", p3, "-e", "vc", "--cover", "2")
     assert code == 0
     assert json.loads(stdout)["winner"] == "B"
+
+
+def test_auto_on_a_large_cover_exits_2_from_subset(tmp_path, capsys):
+    f = write_cak(tmp_path, gen_random(200, 0.05))
+    code, _, stderr = invoke(capsys, "solve", "-f", f)
+    assert code == 2
+    assert "subset" in stderr
+
+
+def test_too_deep_nd_search_exits_2(tmp_path, capsys, shallow_stack):
+    m = 120
+    f = write_cak(tmp_path, build(2 * m, [(u, m + v, "g") for u in range(m) for v in range(m)]))
+    shallow_stack(100)
+    code, _, stderr = invoke(capsys, "solve", "-f", f, "-e", "nd")
+    assert code == 2
+    assert "recursion limit" in stderr

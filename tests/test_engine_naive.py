@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cak import ColoredGraph, Player, gen_grid, grundy_naive, solve_naive
+from cak import CapacityError, ColoredGraph, Player, gen_grid, grundy_naive, solve_naive
 
 from _oracles import build, grundy_oracle, random_lettered_edges, win_oracle
 
@@ -122,3 +122,11 @@ def test_grundy_zero_iff_mover_loses():
         for turn in (Player.B, Player.W):
             mover_wins = solve_naive(g, turn).winner is turn
             assert mover_wins == (value > 0)
+
+
+def test_too_deep_search_is_a_capacity_error(shallow_stack):
+    # a matching of 100 edges: the first line of play is 100 moves deep
+    g = build(200, [(2 * i, 2 * i + 1, "g") for i in range(100)])
+    shallow_stack(60)
+    with pytest.raises(CapacityError, match="recursion limit"):
+        solve_naive(g, Player.B)

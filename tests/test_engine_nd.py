@@ -6,6 +6,7 @@ import random
 import pytest
 
 from cak import (
+    CapacityError,
     ColoredGraph,
     Player,
     count_nd_positions,
@@ -143,3 +144,12 @@ def test_restriction_must_align_with_modules():
     with pytest.raises(ValueError):
         count_nd_positions(k33, Player.B, restrict_to={0})
     assert count_nd_positions(k33, Player.B, restrict_to={0, 1, 2}).distinct_keys >= 1
+
+
+def test_too_deep_search_is_a_capacity_error(shallow_stack):
+    # K_{m,m} is two modules; every line of play is m moves deep
+    m = 120
+    g = build(2 * m, [(u, m + v, "g") for u in range(m) for v in range(m)])
+    shallow_stack(60)
+    with pytest.raises(CapacityError, match="recursion limit"):
+        solve_nd(g, Player.B)

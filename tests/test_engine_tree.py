@@ -289,6 +289,15 @@ def test_counters_match_oracles_on_18_vertex_caterpillar():
         assert count_nk_subtrees(g, root) == nk_count_oracle(g.n, pairs, root)
 
 
+def test_counters_on_a_30_leg_spider():
+    # each two-edge leg is kept whole or cleared, so the root keeps 0..30
+    # whole legs: 31 shapes out of 2^30 keep-or-clear choices
+    legs = [(0, 2 * leg + 1) for leg in range(30)]
+    spider = gray_tree(legs + [(v, v + 1) for _, v in legs])
+    assert count_ak_subtrees(spider, 0) == 31
+    assert count_nk_subtrees(spider, 0) == 31
+
+
 def test_subtree_count_bound():
     rng = random.Random(85)
     for _ in range(20):

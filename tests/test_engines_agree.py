@@ -1,0 +1,53 @@
+"""Every engine finds the same winner and the same winning move."""
+
+from hypothesis import given, settings, strategies as st
+
+from cak import Player, solve_naive, solve_nd, solve_subset, solve_tree, solve_vc
+from cak.engines.tree import check_gray_forest
+from cak.params import min_vertex_cover
+
+from _oracles import build
+
+
+@st.composite
+def positions(draw):
+    """(graph under an alive mask, a cover of it that is not always
+    minimum). "-" leaves a pair unjoined; the gray palettes give forests
+    often, so the tree engine joins in."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    alphabet = draw(st.sampled_from(["--gbw", "-gbw", "-bw", "----g", "-----gb", "g"]))
+    letters = draw(st.lists(st.sampled_from(alphabet), min_size=len(pairs), max_size=len(pairs)))
+    alive = draw(st.lists(st.sampled_from([1, 1, 1, 0]), min_size=n, max_size=n))
+    mask = sum(bit << v for v, bit in enumerate(alive))
+    lettered = [
+        (u, v, c)
+        for (u, v), c in zip(pairs, letters)
+        if c != "-" and mask >> u & 1 and mask >> v & 1
+    ]
+    g = build(n, lettered, alive=mask)
+    extra = draw(st.lists(st.sampled_from(range(n)), max_size=3)) if n else []
+    return g, min_vertex_cover(g).vertices | set(extra)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(positions())
+def test_engines_agree_on_winner_and_move(case):
+    g, cover = case
+    try:
+        check_gray_forest(g, g.alive)
+        tree = True
+    except ValueError:
+        tree = False
+    for turn in Player:
+        want = solve_naive(g, turn)
+        outcomes = [
+            solve_subset(g, turn),
+            solve_vc(g, turn),
+            solve_vc(g, turn, cover),
+            solve_nd(g, turn),
+        ]
+        if tree:
+            outcomes.append(solve_tree(g, turn))
+        for out in outcomes:
+            assert (out.winner, out.winning_move) == (want.winner, want.winning_move)

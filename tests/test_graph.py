@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cak import (
     Color,
@@ -166,6 +167,22 @@ def test_round_trip_cram_and_random():
         boards.append(gen_random(rng.randrange(9), rng.random(), (1, 2, 1), seed))
     for g in boards:
         assert parse_graph(serialize_graph(g)) == g
+
+
+@st.composite
+def lettered_graphs(draw):
+    """(n, edges) with every vertex alive; "-" leaves a pair unjoined."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    letters = draw(st.lists(st.sampled_from("--gbw"), min_size=len(pairs), max_size=len(pairs)))
+    return n, [(u, v, c) for (u, v), c in zip(pairs, letters) if c != "-"]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(lettered_graphs())
+def test_round_trip_property(case):
+    g = build(*case)
+    assert parse_graph(serialize_graph(g)) == g
 
 
 def test_remove_closed_edge_on_c4():

@@ -16,7 +16,7 @@ from cak import (
     nd_partition,
     representative_edges,
 )
-from cak.params import as_cover
+from cak.params import as_cover, cover_at_most
 
 from _oracles import (
     build,
@@ -132,6 +132,16 @@ def test_nd_partition_matches_pairwise_oracle(case, ignore_colors):
     g = build(n, inside, alive=sum(1 << v for v in alive))
     expected = twin_classes_oracle(lettered, alive, ignore_colors)
     assert nd_partition(g, ignore_colors).modules == expected
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(graphs_with_alive_sets())
+def test_cover_at_most_matches_the_minimum_cover(case):
+    n, lettered, alive = case
+    inside = [(u, v, c) for u, v, c in lettered if u in alive and v in alive]
+    g = build(n, inside, alive=sum(1 << v for v in alive))
+    tau = min_vertex_cover(g).size
+    assert [cover_at_most(g, k) for k in range(-1, n + 1)] == [k >= tau for k in range(-1, n + 1)]
 
 
 def test_nd_partition_k3():
