@@ -37,6 +37,7 @@ from .graph import (
     ColoredGraph,
     ParseError,
     Player,
+    VertexError,
     parse_graph,
     permute,
     remove_closed_edge,

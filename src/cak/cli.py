@@ -22,7 +22,7 @@ from .engines import (
     select_engine,
 )
 from .generators import GENERATORS
-from .graph import ParseError, Player, parse_graph, serialize_graph
+from .graph import ParseError, Player, VertexError, parse_graph, serialize_graph
 from .params import equivalence_classes, min_vertex_cover, nd_partition
 
 
@@ -243,6 +243,9 @@ def main(argv=None) -> int:
     except BenchConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except VertexError as exc:
+        print(f"error: {exc.one_based()}", file=sys.stderr)
+        return 2
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

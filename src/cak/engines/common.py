@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
-from ..graph import ColoredGraph, Player
+from ..graph import Color, ColoredGraph, Player
 
 
 class CapacityError(ValueError):
@@ -22,8 +22,9 @@ class SearchStats:
     node_expansions counts recursion-tree nodes visited: every evaluation
     of a position, where an answer served from the memo table is a leaf
     visit. memo_hits counts those leaf visits; distinct_keys is the final
-    memo size. This matches recursion-tree accounting: with short-circuit
-    disabled, node_expansions is the number of recursive calls made.
+    memo size. The search probes a child's key before it recurses, so
+    node_expansions is the recursive calls made plus the memo hits; with
+    short-circuit disabled, that is the whole memoized recursion tree.
     """
 
     node_expansions: int = 0
@@ -44,6 +45,10 @@ class Outcome:
 
 
 Move = tuple[int, int, int]  # (u, v, bitmask of u and v)
+
+PLAYERS = (Player.B, Player.W)  # a search's side index names one of these
+# The edge colors each side may play, indexed like PLAYERS.
+PLAYABLE = tuple(frozenset(c for c in Color if p.can_play(c)) for p in PLAYERS)
 
 
 def playable_edges(g: ColoredGraph, player: Player) -> tuple[Move, ...]:
@@ -68,47 +73,57 @@ def recursion_capacity() -> Iterator[None]:
 def search(
     g: ColoredGraph,
     turn: Player,
-    key: Callable[[int, Player], Hashable],
-    moves: Callable[[int, Player, Hashable], Iterable[Move]],
+    key: Callable[[int, int], Hashable],
+    moves: Callable[[int, int, Hashable], Iterable[Move]],
     short_circuit: bool,
     started: float,
 ) -> Outcome:
     """Memoized win/loss search from g's alive vertices, turn to move.
 
-    key(mask, player) names the class of positions sharing a game value;
-    moves(mask, player, k) lists the candidate moves of a position whose
-    key k was just computed. A candidate whose endpoints are not both
-    alive is skipped. With short_circuit off, every child is evaluated,
-    so the stats cover the whole memoized recursion tree. started is
-    the perf_counter() reading the elapsed time is measured from, so an
-    engine's set-up (cover, partition) counts too.
+    The side to move is an index into PLAYERS (0 = B, 1 = W), and the
+    opponent of side is side ^ 1. key(mask, side) names the class of
+    positions sharing a game value; moves(mask, side, k) lists the
+    candidate moves of a position whose key k missed the memo. The
+    driver calls moves on a position right after its key, with no other
+    key call in between, and takes the whole list before it computes a
+    child's key, so an engine may hand state from key to moves. A
+    candidate whose endpoints are not both alive is skipped. With
+    short_circuit off, every child is evaluated, so the stats cover the
+    whole memoized recursion tree. started is the perf_counter() reading
+    the elapsed time is measured from, so an engine's set-up (cover,
+    partition) counts too.
     """
     memo: dict = {}
-    stats = SearchStats()
+    nodes, hits = 1, 0  # the root is visited and is never a memo hit
 
-    def first_win(mask: int, player: Player):
-        """Truthy iff the mover wins. An expanded position returns its
-        first winning candidate (u, v) or None; a memo hit, the stored bool."""
-        stats.node_expansions += 1
-        k = key(mask, player)
-        cached = memo.get(k)
-        if cached is not None:
-            stats.memo_hits += 1
-            return cached
+    def first_win(mask: int, side: int, k) -> Optional[tuple[int, int]]:
+        """The first winning candidate (u, v) of a position whose key k
+        missed the memo, or None; stores whether the mover wins. Each
+        child's key is probed here, so a memo hit costs no call."""
+        nonlocal nodes, hits
         found = None
-        opp = player.opponent
-        for u, v, em in moves(mask, player, k):
-            if mask & em == em and not first_win(mask & ~em, opp) and found is None:
-                found = (u, v)
-                if short_circuit:
-                    break
+        opp = side ^ 1
+        for u, v, em in moves(mask, side, k):
+            if mask & em == em:
+                child = mask ^ em
+                ck = key(child, opp)
+                nodes += 1
+                won = memo.get(ck)
+                if won is None:
+                    won = first_win(child, opp, ck) is not None
+                else:
+                    hits += 1
+                if not won and found is None:
+                    found = (u, v)
+                    if short_circuit:
+                        break
         memo[k] = found is not None
         return found
 
+    side = PLAYERS.index(turn)
     with recursion_capacity():
-        move = first_win(g.alive, turn)  # the root is never a memo hit
-    stats.distinct_keys = len(memo)
-    stats.elapsed = perf_counter() - started
+        move = first_win(g.alive, side, key(g.alive, side))
+    stats = SearchStats(nodes, hits, len(memo), perf_counter() - started)
     winner = turn if move is not None else turn.opponent
     return Outcome(winner, move, stats)
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Iterable, Optional
 
-from ..graph import ColoredGraph, Player
+from ..graph import ColoredGraph, Player, VertexError
 from ..params import ModulePartition, nd_partition
-from .common import Move, Outcome, SearchStats, search
+from .common import PLAYABLE, Move, Outcome, SearchStats, search
 
-NdKey = tuple[tuple[int, ...], Player]
+NdKey = tuple[tuple[int, ...], int]
 
 
 def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...]:
@@ -39,16 +39,14 @@ def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...
             raise ValueError("invalid partition: empty module")
         for v in module:
             if not (0 <= v < g.n) or not g.alive >> v & 1:
-                raise ValueError(f"invalid partition: vertex {v} not alive in the graph")
+                raise VertexError("invalid partition: vertex {} not alive in the graph", v)
             if v in seen:
-                raise ValueError(f"invalid partition: vertex {v} appears twice")
+                raise VertexError("invalid partition: vertex {} appears twice", v)
             seen.add(v)
         for i, u in enumerate(module):
             for v in module[i + 1 :]:
                 if class_of[u] != class_of[v]:
-                    raise ValueError(
-                        f"invalid partition: {u} and {v} are not colored twins"
-                    )
+                    raise VertexError("invalid partition: {} and {} are not colored twins", u, v)
     if seen != set(g.alive_vertices()):
         raise ValueError("invalid partition: modules must cover every alive vertex")
     return tuple(sorted(modules))
@@ -83,11 +81,12 @@ class _ModuleSearch:
                 raise ValueError("restriction set must be a union of modules")
         self.allowed_pairs = set(inside)
 
-    def key(self, mask: int, player: Player) -> NdKey:
-        return (tuple((mask & mm).bit_count() for mm in self.module_masks), player)
+    def key(self, mask: int, side: int) -> NdKey:
+        return (tuple((mask & mm).bit_count() for mm in self.module_masks), side)
 
-    def candidates(self, mask: int, player: Player, key: NdKey) -> list[Move]:
+    def candidates(self, mask: int, side: int, key: NdKey) -> list[Move]:
         counts = key[0]
+        playable = PLAYABLE[side]
         moves = []
         nu = len(self.modules)
         for i in range(nu):
@@ -97,7 +96,7 @@ class _ModuleSearch:
                 continue
             alive_i = [v for v in self.modules[i] if mask >> v & 1]
             c = self.internal[i]
-            if counts[i] >= 2 and c is not None and player.can_play(c):
+            if counts[i] >= 2 and c in playable:
                 u, v = alive_i[0], alive_i[1]
                 moves.append((u, v, 1 << u | 1 << v))
             for j in range(i + 1, nu):
@@ -106,7 +105,7 @@ class _ModuleSearch:
                 if self.allowed_pairs is not None and j not in self.allowed_pairs:
                     continue
                 c = self.inter[i][j]
-                if c is not None and player.can_play(c):
+                if c in playable:
                     u = alive_i[0]
                     v = next(w for w in self.modules[j] if mask >> w & 1)
                     moves.append((min(u, v), max(u, v), 1 << u | 1 << v))

@@ -1,7 +1,8 @@
-"""Subset engine: memoized search keyed by (alive bitmask, turn).
+"""Subset engine: memoized search keyed by (alive bitmask, side to move).
 
 Every reachable position is an induced subgraph of the start graph, so
-one dict over vertex-subset bitmasks caches the whole game. Keys are
+one dict over vertex-subset bitmasks caches the whole game; the key is
+the one int mask << 1 | side. Keys are
 deliberately canonicalization-free: this engine is the semantic
 baseline the cover- and module-keyed engines are measured against, so
 it must not merge isomorphic positions.
@@ -12,7 +13,7 @@ from __future__ import annotations
 from time import perf_counter
 
 from ..graph import ColoredGraph, Player
-from .common import CapacityError, Move, Outcome, SearchStats, playable_edges, search
+from .common import PLAYERS, CapacityError, Move, Outcome, SearchStats, playable_edges, search
 
 DEFAULT_MAX_N = 32
 
@@ -24,12 +25,12 @@ def _run(g: ColoredGraph, turn: Player, max_n: int, short_circuit: bool) -> Outc
             " (raise max_n explicitly if you mean it)"
         )
     t0 = perf_counter()
-    edges = {p: playable_edges(g, p) for p in Player}
+    edges = tuple(playable_edges(g, p) for p in PLAYERS)
 
-    def moves(mask: int, player: Player, key) -> tuple[Move, ...]:
-        return edges[player]
+    def moves(mask: int, side: int, key) -> tuple[Move, ...]:
+        return edges[side]
 
-    return search(g, turn, lambda mask, player: (mask, player), moves, short_circuit, t0)
+    return search(g, turn, lambda mask, side: mask << 1 | side, moves, short_circuit, t0)
 
 
 def solve_subset(g: ColoredGraph, turn: Player, max_n: int = DEFAULT_MAX_N) -> Outcome:

@@ -24,11 +24,15 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Iterable, Optional
 
-from ..graph import Color, ColoredGraph, Player, bits
+from ..graph import ColoredGraph, Player, bits
 from ..params import as_cover, class_vector, cover_classes, min_vertex_cover
-from .common import Move, Outcome, SearchStats, resolve_alive, search
+from .common import PLAYERS, Move, Outcome, SearchStats, playable_edges, resolve_alive, search
 
 VcKey = tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...], Player]
+
+# Per side, the indices of its (gray, own color) masks in a class's
+# (gray, black, white) masks.
+_OWN_MASKS = ((0, 1), (0, 2))
 
 
 class _CoverSearch:
@@ -40,24 +44,23 @@ class _CoverSearch:
         self.g = g
         self.cover_mask = sum(1 << v for v in cover_set)
         self.nbr = g.neighbor_masks()
+        # Per side, the cover-internal edges it may play.
         self.internal = tuple(
-            (u, v, c) for u, v, c in g.edges if u in cover_set and v in cover_set
+            tuple(m for m in playable_edges(g, p) if not m[2] & ~self.cover_mask) for p in PLAYERS
         )
 
-    def key(self, mask: int, player: Player):
-        """Also keeps the classes for candidates, which search calls next."""
+    def key(self, mask: int, side: int):
+        """Also keeps the classes in self.layout for candidates: search
+        calls candidates on the same position before the next key call."""
         alive_cover = sum(1 << s for s in bits(mask & self.cover_mask) if self.nbr[s] & mask)
         self.layout = layout = cover_classes(self.g, mask & ~self.cover_mask, alive_cover)
         layout.pop((0, 0, 0), None)
         counts = tuple(sorted((masks, len(members)) for masks, members in layout.items()))
-        return (alive_cover, counts, player)
+        return (alive_cover, counts, side)
 
-    def candidates(self, mask: int, player: Player, key) -> list[Move]:
-        moves = []
-        for u, v, c in self.internal:
-            if mask >> u & 1 and mask >> v & 1 and player.can_play(c):
-                moves.append((u, v, 1 << u | 1 << v))
-        gray, own = (i for i, c in enumerate(Color) if player.can_play(c))
+    def candidates(self, mask: int, side: int, key) -> list[Move]:
+        moves = [m for m in self.internal[side] if mask & m[2] == m[2]]
+        gray, own = _OWN_MASKS[side]
         for masks, members in self.layout.items():
             rep = members[0]
             for u in bits(masks[gray] | masks[own]):
@@ -70,9 +73,11 @@ def vc_canonical_key(
 ) -> VcKey:
     """Memo key of a position for a fixed cover (exposed for testing),
     with each class's color masks given as its vector."""
-    alive_cover, counts, player = _CoverSearch(g, cover).key(resolve_alive(g, alive), turn)
+    alive_cover, counts, _ = _CoverSearch(g, cover).key(
+        resolve_alive(g, alive), PLAYERS.index(turn)
+    )
     order = tuple(bits(alive_cover))
-    return (order, tuple(sorted((class_vector(m, order), n) for m, n in counts)), player)
+    return (order, tuple(sorted((class_vector(m, order), n) for m, n in counts)), turn)
 
 
 def _run(

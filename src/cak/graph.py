@@ -105,6 +105,20 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+class VertexError(ValueError):
+    """A ValueError that names vertices. The message is a str.format
+    template with one {} per id in ids, so an interface with other ids
+    can render them its own way; str() gives the 0-based library form."""
+
+    def __init__(self, template: str, *ids: int):
+        self.template = template
+        self.ids = ids
+        super().__init__(template.format(*ids))
+
+    def one_based(self) -> str:
+        return self.template.format(*(v + 1 for v in self.ids))
+
+
 Edge = tuple[int, int, Color]
 
 

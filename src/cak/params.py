@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import ColoredGraph, bits
+from .graph import ColoredGraph, VertexError, bits
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def _check_cover(g: ColoredGraph, cover, mask: int) -> None:
     """Raise unless cover meets every edge between vertices alive in mask."""
     for u, v, _ in g.edges:
         if mask >> u & 1 and mask >> v & 1 and u not in cover and v not in cover:
-            raise ValueError(f"not a vertex cover: edge {{{u}, {v}}} uncovered")
+            raise VertexError("not a vertex cover: edge {{{}, {}}} uncovered", u, v)
 
 
 def as_cover(g: ColoredGraph, cover) -> frozenset[int]:
@@ -179,7 +179,7 @@ def as_cover(g: ColoredGraph, cover) -> frozenset[int]:
         vertices = frozenset(cover)
     for v in vertices:
         if not (0 <= v < g.n):
-            raise ValueError(f"cover vertex {v} out of range")
+            raise VertexError("cover vertex {} out of range", v)
     _check_cover(g, vertices, g.alive)
     return vertices
 

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cak import gen_caterpillar_kayles, gen_grid, gen_random, serialize_graph
 from cak.bench import BenchConsistencyError
 from cak.cli import main
@@ -415,3 +417,25 @@ def test_too_deep_nd_search_exits_2(tmp_path, capsys, shallow_stack):
     code, _, stderr = invoke(capsys, "solve", "-f", f, "-e", "nd")
     assert code == 2
     assert "recursion limit" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("-e", "vc", "--cover", "1"), "not a vertex cover: edge {2, 3} uncovered"),
+        (("-e", "nd", "--partition", "[[1], [1, 3]]"), "invalid partition: vertex 1 appears twice"),
+        (
+            ("-e", "nd", "--partition", "[[1, 2], [3]]"),
+            "invalid partition: 1 and 2 are not colored twins",
+        ),
+    ],
+    ids=["uncovered", "twice", "not-twins"],
+)
+def test_library_errors_name_one_based_ids(tmp_path, capsys, argv, message):
+    p3 = write_cak(tmp_path, build(3, [(0, 1, "g"), (1, 2, "g")]))
+    if "--partition" in argv:
+        part = tmp_path / "part.json"
+        part.write_text(argv[-1])
+        argv = (*argv[:-1], str(part))
+    code, stdout, stderr = invoke(capsys, "solve", "-f", p3, *argv)
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")

@@ -9,6 +9,7 @@ from cak import (
     CapacityError,
     ColoredGraph,
     Player,
+    VertexError,
     count_nd_positions,
     gen_lower_nd,
     nd_partition,
@@ -53,6 +54,26 @@ def test_invalid_partitions_rejected():
         solve_nd(p3, Player.B, partition=[[0, 2], [1], []])  # empty module
     with pytest.raises(ValueError):
         solve_nd(p3, Player.B, partition=[[0, 2], [1, 5]])  # out of range
+
+
+def test_partition_errors_carry_their_vertex_ids():
+    # The ids stay data, so the CLI can print them 1-based; str() is 0-based.
+    p3 = build(3, [(0, 1, "g"), (1, 2, "g")])
+    cases = [
+        ([[0, 2], [1], [1]], "vertex 1 appears twice", (1,)),
+        ([[0, 1], [2]], "0 and 1 are not colored twins", (0, 1)),
+    ]
+    for partition, message, ids in cases:
+        with pytest.raises(VertexError) as info:
+            solve_nd(p3, Player.B, partition=partition)
+        assert str(info.value) == f"invalid partition: {message}"
+        assert info.value.ids == ids
+    # A dead vertex cannot reach the CLI, whose files hold live vertices only.
+    g = ColoredGraph(3, ((0, 1, 1),), alive=0b011)
+    with pytest.raises(VertexError) as info:
+        solve_nd(g, Player.B, partition=[[0, 1], [2]])
+    assert info.value.ids == (2,)
+    assert info.value.one_based() == "invalid partition: vertex 3 not alive in the graph"
 
 
 def test_k33_key_count():

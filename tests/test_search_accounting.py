@@ -1,0 +1,60 @@
+"""Exact search accounting of the memoized driver.
+
+The (node_expansions, memo_hits, distinct_keys) triples below were
+recorded with the driver that called itself on every child and looked
+the key up inside the call. Any change to how the driver visits
+positions must reproduce them exactly: the search tree, the memo and
+the counts are part of what the CLI prints.
+"""
+
+import pytest
+
+from cak import (
+    Player,
+    count_nd_positions,
+    count_subset_positions,
+    count_vc_positions,
+    gen_grid,
+    gen_lower_nd,
+    gen_lower_vc,
+    solve_nd,
+    solve_subset,
+    solve_vc,
+)
+
+
+def triple(stats):
+    return (stats.node_expansions, stats.memo_hits, stats.distinct_keys)
+
+
+# (board, first player) -> (winner, winning move, solve triple, count triple)
+SUBSET = {
+    ("cram", 4, 5, "B"): ("B", (5, 10), (48141, 30604, 17537), (423583, 364753, 58830)),
+    ("cram", 4, 5, "W"): ("W", (5, 10), (48141, 30604, 17537), (423583, 364753, 58830)),
+    ("domineering", 4, 6, "B"): ("B", (8, 14), (52601, 24376, 28225), (1027041, 788322, 238719)),
+    ("domineering", 4, 6, "W"): ("W", (1, 2), (29957, 13576, 16381), (1077919, 828284, 249635)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBSET), ids=lambda c: "-".join(map(str, c)))
+def test_subset_accounting(case):
+    variant, rows, cols, first = case
+    winner, move, solved, counted = SUBSET[case]
+    g = gen_grid(rows, cols, variant)
+    out = solve_subset(g, Player(first))
+    assert (out.winner.value, out.winning_move, triple(out.stats)) == (winner, move, solved)
+    assert triple(count_subset_positions(g, Player(first))) == counted
+
+
+def test_vc_accounting():
+    g = gen_lower_vc(4)
+    assert triple(count_vc_positions(g, Player.B)) == (3799, 3476, 323)
+    out = solve_vc(g, Player.B)
+    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.W, None, (101, 59, 42))
+
+
+def test_nd_accounting():
+    g = gen_lower_nd(3, 4)
+    assert triple(count_nd_positions(g, Player.B)) == (1954, 1590, 364)
+    out = solve_nd(g, Player.W)
+    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.W, (0, 1), (171, 88, 83))
