@@ -82,16 +82,18 @@ def search(
 
     The side to move is an index into PLAYERS (0 = B, 1 = W), and the
     opponent of side is side ^ 1. key(mask, side) names the class of
-    positions sharing a game value; moves(mask, side, k) lists the
-    candidate moves of a position whose key k missed the memo. The
-    driver calls moves on a position right after its key, with no other
-    key call in between, and takes the whole list before it computes a
-    child's key, so an engine may hand state from key to moves. A
-    candidate whose endpoints are not both alive is skipped. With
-    short_circuit off, every child is evaluated, so the stats cover the
-    whole memoized recursion tree. started is the perf_counter() reading
-    the elapsed time is measured from, so an engine's set-up (cover,
-    partition) counts too.
+    positions sharing a game value. Every move removes two vertices, so
+    within one search the number of alive vertices fixes the side to
+    move; a key may leave the side out only when it fixes that number.
+    moves(mask, side, k) lists the candidate moves of a position whose
+    key k missed the memo. The search calls moves on a position right
+    after its key, with no other key call in between, and takes the
+    whole list before it computes a child's key, so an engine may hand
+    state from key to moves. A candidate whose endpoints are not both
+    alive is skipped. With short_circuit off, every child is evaluated,
+    so the stats cover the whole memoized recursion tree. started is
+    the perf_counter() reading the elapsed time is measured from, so an
+    engine's set-up (cover, partition) counts too.
     """
     memo: dict = {}
     nodes, hits = 1, 0  # the root is visited and is never a memo hit
@@ -135,14 +137,6 @@ def mex(values) -> int:
     while k in seen:
         k += 1
     return k
-
-
-def resolve_alive(g: ColoredGraph, alive: Optional[int]) -> int:
-    if alive is None:
-        return g.alive
-    if not isinstance(alive, int) or alive < 0 or alive & ~g.alive:
-        raise ValueError("alive mask must be a subset of the graph's live vertices")
-    return alive
 
 
 def split_components(mask: int, nbr: Sequence[int]) -> list[int]:

@@ -11,14 +11,13 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Optional
 
-from ..graph import Color, ColoredGraph, Player
+from ..graph import Color, ColoredGraph, Player, resolve_alive
 from .common import (
     Outcome,
     SearchStats,
     mex,
     playable_edges,
     recursion_capacity,
-    resolve_alive,
     split_components,
 )
 

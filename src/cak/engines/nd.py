@@ -3,17 +3,20 @@
 Partition the vertices into modules of pairwise (colored) twins. Twins
 are interchangeable by an automorphism, so a position is determined up
 to isomorphism by how many vertices of each module survive, and the
-memo key is just that tuple of counts plus the turn. The key space has
-size at most 2 * prod(|M_i| + 1).
+memo key is just that tuple of counts. Every move removes two
+vertices, so within one search the counts also fix the side to move.
+The key space has size at most prod(|M_i| + 1).
 
 Between two modules adjacency is uniform (every pair or no pair, one
 color), and inside a module likewise, so one candidate edge per module
 pair (taken between smallest alive members) covers every playable edge
-up to child-key equality.
+up to child-key equality. The pairs each side may play are listed once
+per search.
 """
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from time import perf_counter
 from typing import Iterable, Optional
 
@@ -21,7 +24,7 @@ from ..graph import ColoredGraph, Player, VertexError
 from ..params import ModulePartition, nd_partition
 from .common import PLAYABLE, Move, Outcome, SearchStats, search
 
-NdKey = tuple[tuple[int, ...], int]
+NdKey = tuple[int, ...]
 
 
 def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...]:
@@ -53,62 +56,47 @@ def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...
 
 
 class _ModuleSearch:
-    def __init__(self, g: ColoredGraph, partition):
-        self.modules = _resolve_partition(g, partition)
-        self.module_masks = tuple(sum(1 << v for v in m) for m in self.modules)
-        nu = len(self.modules)
-        # Uniform colors: between module pair (one or no color), and inside.
-        self.inter = [[None] * nu for _ in range(nu)]
-        for i in range(nu):
-            for j in range(i + 1, nu):
-                c = g.color_of(self.modules[i][0], self.modules[j][0])
-                self.inter[i][j] = self.inter[j][i] = c
-        self.internal = [
-            g.color_of(m[0], m[1]) if len(m) > 1 else None for m in self.modules
-        ]
-        self.allowed_pairs = None  # None = all
-
-    def restrict(self, vertices: Iterable[int]) -> None:
-        """Only allow moves with both endpoints in `vertices`, which must
-        be a union of modules (so candidate edges stay representative)."""
-        vset = set(vertices)
-        inside = []
-        for idx, module in enumerate(self.modules):
-            hit = sum(1 for v in module if v in vset)
-            if hit == len(module):
-                inside.append(idx)
-            elif hit:
+    def __init__(self, g: ColoredGraph, partition, restrict_to: Optional[Iterable[int]]):
+        modules = _resolve_partition(g, partition)
+        self.module_masks = tuple(sum(1 << v for v in m) for m in modules)
+        playing = range(len(modules))
+        if restrict_to is not None:
+            # Only a union of modules keeps the representative edges exact.
+            inside = set(restrict_to)
+            hits = [sum(v in inside for v in m) for m in modules]
+            if any(0 < hit < len(m) for hit, m in zip(hits, modules)):
                 raise ValueError("restriction set must be a union of modules")
-        self.allowed_pairs = set(inside)
+            playing = [i for i, hit in enumerate(hits) if hit]
+        # Per side, the module pairs (i, j), i <= j, whose edges it may
+        # play; i == j is an edge inside a module of two or more (a
+        # one-vertex module pairs v with itself, which has no color).
+        # Twins give all edges of a pair one color, so one pair of
+        # members decides it.
+        pairs = [
+            (i, j, g.color_of(modules[i][0], modules[j][-1 if i == j else 0]))
+            for i, j in combinations_with_replacement(playing, 2)
+        ]
+        self.pairs = tuple(
+            tuple((i, j) for i, j, c in pairs if c in playable) for playable in PLAYABLE
+        )
 
     def key(self, mask: int, side: int) -> NdKey:
-        return (tuple((mask & mm).bit_count() for mm in self.module_masks), side)
+        return tuple((mask & mm).bit_count() for mm in self.module_masks)
 
-    def candidates(self, mask: int, side: int, key: NdKey) -> list[Move]:
-        counts = key[0]
-        playable = PLAYABLE[side]
+    def candidates(self, mask: int, side: int, counts: NdKey) -> list[Move]:
+        """One edge per playable module pair with both ends alive: the
+        lowest alive member of module i and the lowest other alive
+        member of module j."""
+        mm = self.module_masks
         moves = []
-        nu = len(self.modules)
-        for i in range(nu):
-            if counts[i] == 0:
-                continue
-            if self.allowed_pairs is not None and i not in self.allowed_pairs:
-                continue
-            alive_i = [v for v in self.modules[i] if mask >> v & 1]
-            c = self.internal[i]
-            if counts[i] >= 2 and c in playable:
-                u, v = alive_i[0], alive_i[1]
-                moves.append((u, v, 1 << u | 1 << v))
-            for j in range(i + 1, nu):
-                if counts[j] == 0:
-                    continue
-                if self.allowed_pairs is not None and j not in self.allowed_pairs:
-                    continue
-                c = self.inter[i][j]
-                if c in playable:
-                    u = alive_i[0]
-                    v = next(w for w in self.modules[j] if mask >> w & 1)
-                    moves.append((min(u, v), max(u, v), 1 << u | 1 << v))
+        for i, j in self.pairs[side]:
+            if counts[i] and counts[j] > (i == j):  # two alive when i == j
+                a = mask & mm[i]
+                low = a & -a
+                b = mask & mm[j] & ~low
+                other = b & -b
+                u, v = low.bit_length() - 1, other.bit_length() - 1
+                moves.append((u, v, low | other) if u < v else (v, u, low | other))
         moves.sort()
         return moves
 
@@ -121,9 +109,7 @@ def _run(
     restrict_to: Optional[Iterable[int]] = None,
 ) -> Outcome:
     t0 = perf_counter()
-    ms = _ModuleSearch(g, partition)
-    if restrict_to is not None:
-        ms.restrict(restrict_to)
+    ms = _ModuleSearch(g, partition, restrict_to)
     return search(g, turn, ms.key, ms.candidates, short_circuit, t0)
 
 

@@ -1,11 +1,12 @@
-"""Subset engine: memoized search keyed by (alive bitmask, side to move).
+"""Subset engine: memoized search keyed by the alive bitmask.
 
 Every reachable position is an induced subgraph of the start graph, so
-one dict over vertex-subset bitmasks caches the whole game; the key is
-the one int mask << 1 | side. Keys are
-deliberately canonicalization-free: this engine is the semantic
-baseline the cover- and module-keyed engines are measured against, so
-it must not merge isomorphic positions.
+one dict over vertex-subset bitmasks caches the whole game. Every move
+removes two vertices, so within one search the mask also fixes the side
+to move, and the key is the mask alone. Keys are deliberately
+canonicalization-free: this engine is the semantic baseline the cover-
+and module-keyed engines are measured against, so it must not merge
+isomorphic positions.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def _run(g: ColoredGraph, turn: Player, max_n: int, short_circuit: bool) -> Outc
     def moves(mask: int, side: int, key) -> tuple[Move, ...]:
         return edges[side]
 
-    return search(g, turn, lambda mask, side: mask << 1 | side, moves, short_circuit, t0)
+    return search(g, turn, lambda mask, side: mask, moves, short_circuit, t0)
 
 
 def solve_subset(g: ColoredGraph, turn: Player, max_n: int = DEFAULT_MAX_N) -> Outcome:

@@ -19,15 +19,8 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Iterable, Optional, Sequence
 
-from ..graph import Color, ColoredGraph, Player, bits
-from .common import (
-    Outcome,
-    SearchStats,
-    mex,
-    recursion_capacity,
-    resolve_alive,
-    split_components,
-)
+from ..graph import Color, ColoredGraph, Player, bits, resolve_alive
+from .common import Outcome, SearchStats, mex, recursion_capacity, split_components
 
 
 def check_gray_forest(g: ColoredGraph, mask: int) -> None:

@@ -24,9 +24,9 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Iterable, Optional
 
-from ..graph import ColoredGraph, Player, bits
+from ..graph import ColoredGraph, Player, bits, resolve_alive
 from ..params import as_cover, class_vector, cover_classes, min_vertex_cover
-from .common import PLAYERS, Move, Outcome, SearchStats, playable_edges, resolve_alive, search
+from .common import PLAYERS, Move, Outcome, SearchStats, playable_edges, search
 
 VcKey = tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...], Player]
 
@@ -51,7 +51,9 @@ class _CoverSearch:
 
     def key(self, mask: int, side: int):
         """Also keeps the classes in self.layout for candidates: search
-        calls candidates on the same position before the next key call."""
+        calls candidates on the same position before the next key call.
+        The side stays in the key: isolated vertices are dropped from
+        it, so the key does not fix how many vertices are alive."""
         alive_cover = sum(1 << s for s in bits(mask & self.cover_mask) if self.nbr[s] & mask)
         self.layout = layout = cover_classes(self.g, mask & ~self.cover_mask, alive_cover)
         layout.pop((0, 0, 0), None)

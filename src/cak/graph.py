@@ -338,9 +338,18 @@ def swap_colors(g: ColoredGraph) -> ColoredGraph:
     return ColoredGraph(g.n, tuple((u, v, flip[c]) for u, v, c in g.edges), g.alive)
 
 
+def resolve_alive(g: ColoredGraph, alive: Optional[int]) -> int:
+    """The alive mask of a position of g: g.alive when alive is None,
+    else alive, which must be an int mask of vertices alive in g."""
+    if alive is None:
+        return g.alive
+    if not isinstance(alive, int) or alive < 0 or alive & ~g.alive:
+        raise ValueError("alive mask must be a subset of the graph's live vertices")
+    return alive
+
+
 def induced_mask(g: ColoredGraph, mask: int) -> ColoredGraph:
     """Position of g restricted to the alive vertices in mask."""
-    if mask & ~g.alive:
-        raise ValueError("mask keeps a vertex that is already dead")
+    mask = resolve_alive(g, mask)
     kept = tuple(e for e in g.edges if mask >> e[0] & 1 and mask >> e[1] & 1)
     return ColoredGraph(g.n, kept, mask)

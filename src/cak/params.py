@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import ColoredGraph, VertexError, bits
+from .graph import ColoredGraph, VertexError, bits, resolve_alive
 
 
 @dataclass(frozen=True)
@@ -209,9 +209,7 @@ def equivalence_classes(
     """Group the alive non-cover vertices by their vector of edge colors
     toward the alive cover vertices. Raises when the cover misses an
     alive edge."""
-    mask = g.alive if alive is None else alive
-    if mask & ~g.alive:
-        raise ValueError("alive mask keeps a dead vertex")
+    mask = resolve_alive(g, alive)
     cover_set = set(min_vertex_cover(g).vertices if cover is None else cover)
     alive_cover = sum(1 << v for v in cover_set) & mask
     cover_order = tuple(bits(alive_cover))

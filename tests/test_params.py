@@ -16,6 +16,7 @@ from cak import (
     nd_partition,
     representative_edges,
 )
+from cak.graph import induced_mask
 from cak.params import as_cover, cover_at_most
 
 from _oracles import (
@@ -232,6 +233,16 @@ def test_equivalence_classes_respect_alive_mask():
     assert classes.classes == {(1,): (2,)}
     with pytest.raises(ValueError):
         equivalence_classes(star, alive=0b11111)
+
+
+def test_alive_masks_that_are_not_ints_are_value_errors():
+    star = build(4, [(0, 1, "g"), (0, 2, "g"), (0, 3, "g")])
+    with pytest.raises(ValueError):
+        equivalence_classes(star, alive=1.5)
+    with pytest.raises(ValueError):
+        representative_edges(star, alive="x")
+    with pytest.raises(ValueError):
+        induced_mask(star, 1.5)
 
 
 def test_equivalence_classes_need_a_cover():

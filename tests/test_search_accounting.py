@@ -21,6 +21,7 @@ from cak import (
     solve_subset,
     solve_vc,
 )
+from cak.generators import lower_nd_clique_vertices
 
 
 def triple(stats):
@@ -58,3 +59,10 @@ def test_nd_accounting():
     assert triple(count_nd_positions(g, Player.B)) == (1954, 1590, 364)
     out = solve_nd(g, Player.W)
     assert (out.winner, out.winning_move, triple(out.stats)) == (Player.W, (0, 1), (171, 88, 83))
+
+
+@pytest.mark.parametrize("first", list(Player), ids=lambda p: p.value)
+def test_restricted_nd_accounting(first):
+    g = gen_lower_nd(3, 2)
+    stats = count_nd_positions(g, first, restrict_to=lower_nd_clique_vertices(3, 2))
+    assert triple(stats) == (34, 20, 14)
