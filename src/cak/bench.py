@@ -89,10 +89,13 @@ def _fmt_value(v) -> str:
 
 
 def _field(obj: dict, name: str, kind: type, default, where: str):
-    """obj[name], or default when absent; raises unless it is a `kind`."""
+    """obj[name], or default when absent; raises unless its type is
+    exactly `kind`, so a JSON boolean is not an integer."""
     value = obj.get(name, default)
-    if not isinstance(value, kind):
-        json_type = {int: "integer", str: "string", list: "list", dict: "object"}[kind]
+    if type(value) is not kind:
+        json_type = {
+            bool: "boolean", int: "integer", str: "string", list: "list", dict: "object"
+        }[kind]
         raise ValueError(f"{where} field {name!r} must be a JSON {json_type}")
     return value
 
@@ -122,8 +125,8 @@ def expand_suite(spec: dict) -> list[_Task]:
         for eng in engines:
             if eng not in ENGINE_NAMES:
                 raise ValueError(f"unknown engine {eng!r}")
-        count_mode = bool(entry.get("count_mode", False))
-        restrict = bool(entry.get("restrict_clique_edges", False))
+        count_mode = _field(entry, "count_mode", bool, False, "suite entry")
+        restrict = _field(entry, "restrict_clique_edges", bool, False, "suite entry")
         if restrict and name != "lower-nd":
             raise ValueError("restrict_clique_edges only applies to lower-nd")
         keys = sorted(grid)

@@ -28,24 +28,19 @@ def solve_naive(g: ColoredGraph, turn: Player, alive: Optional[int] = None) -> O
     edges = {p: playable_edges(g, p) for p in Player}
     stats = SearchStats()
 
-    def wins(mask: int, player: Player) -> bool:
+    def first_win(mask: int, player: Player) -> Optional[tuple[int, int]]:
+        """The first playable edge after which the opponent loses, or None."""
         stats.node_expansions += 1
         opp = player.opponent
-        for _, _, em in edges[player]:
-            if mask & em == em and not wins(mask & ~em, opp):
-                return True
-        return False
+        for u, v, em in edges[player]:
+            if mask & em == em and first_win(mask & ~em, opp) is None:
+                return (u, v)
+        return None
 
-    stats.node_expansions += 1
-    move = None
-    opp = turn.opponent
     with recursion_capacity():
-        for u, v, em in edges[turn]:
-            if mask0 & em == em and not wins(mask0 & ~em, opp):
-                move = (u, v)
-                break
+        move = first_win(mask0, turn)
     stats.elapsed = perf_counter() - t0
-    winner = turn if move is not None else opp
+    winner = turn if move is not None else turn.opponent
     return Outcome(winner, move, stats)
 
 

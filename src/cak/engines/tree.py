@@ -5,7 +5,8 @@ value is a mex over its moves. Components are memoized by vertex set
 and under a canonical form (the AHU rooted shape code from the
 centroid; Aho, Hopcroft & Ullman 1974), so a vertex set is coded once
 and isomorphic subtrees arising anywhere in the search share one
-evaluation.
+evaluation. The code comes from one BFS: the centroid is read off the
+subtree sizes, and only the chain of vertices above it is re-rooted.
 
 Also counts, for a rooted tree, how many non-isomorphic rooted subtrees
 survive at the root under play-like removals: matchings whose matched
@@ -19,7 +20,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Iterable, Optional, Sequence
 
-from ..graph import Color, ColoredGraph, Player, bits, resolve_alive
+from ..graph import Color, ColoredGraph, Player, resolve_alive
 from .common import Outcome, SearchStats, mex, recursion_capacity, split_components
 
 
@@ -63,53 +64,41 @@ def _bfs(
     return order, parent
 
 
-def _child_codes(order: list[int], parent: dict[int, int]) -> dict[int, list[str]]:
-    """Bottom-up AHU pass: each vertex's list of child shape codes. A
-    vertex's own code is "(" + its sorted child codes joined + ")"."""
+def tree_component_code(g: ColoredGraph, comp: int) -> str:
+    """Canonical form of one tree component: the AHU code rooted at the
+    centroid; with two centroids, the smaller of the two rooted codes.
+
+    One BFS from the lowest vertex gives the subtree sizes. The vertices
+    whose subtree holds at least half of comp form a chain down from the
+    root (two at one depth would hold every vertex but the root between
+    them), and its last vertex c is a centroid; parent[c] is a second
+    one exactly when c's subtree holds half. Off the chain, a vertex has
+    the same children from either root, so those codes are built bottom
+    up in the same pass as the sizes. Each chain vertex, rooted at c,
+    is then one more child of the next one down.
+    """
+    order, parent = _bfs(g.neighbor_masks(), comp, (comp & -comp).bit_length() - 1)
+    total = len(order)
+    size = dict.fromkeys(order, 1)
     kids: dict[int, list[str]] = {v: [] for v in order}
     for v in reversed(order):
         p = parent[v]
         if p >= 0:
-            kids[p].append(_code_from_combo(kids[v]))
-    return kids
-
-
-def tree_component_code(g: ColoredGraph, comp: int) -> str:
-    """Canonical form of one tree component: root at the centroid; with
-    two centroids take the lexicographically smaller rooted code."""
-    nbr = g.neighbor_masks()
-    order, parent = _bfs(nbr, comp, (comp & -comp).bit_length() - 1)
-    total = len(order)
-    size = dict.fromkeys(order, 1)
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0:
             size[p] += size[v]
-    # Walk down from the root into any branch holding over half the
-    # vertices; where none is left, the vertex is a centroid. A second
-    # centroid is a neighbor whose branch holds exactly half.
-    c, twin = order[0], -1
-    descending = True
-    while descending:
-        descending = False
-        for w in bits(nbr[c] & comp):
-            if w != parent[c] and 2 * size[w] >= total:
-                if 2 * size[w] == total:
-                    twin = w
-                else:
-                    c, descending = w, True
-                break
-    order, parent = _bfs(nbr, comp, c)
-    kids = _child_codes(order, parent)
+            if 2 * size[v] < total:
+                kids[p].append(_code_from_combo(kids[v]))
+    chain = [v for v in order if 2 * size[v] >= total]
+    for above, below in zip(chain, chain[1:]):
+        kids[below].append(_code_from_combo(kids[above]))
+    c = chain[-1]
     code = _code_from_combo(kids[c])
-    if twin < 0:
+    if 2 * size[c] != total:
         return code
-    # Re-root at the twin: c's side without the twin's branch becomes
-    # one more child of the twin.
-    twin_code = _code_from_combo(kids[twin])
-    c_side = kids[c]
-    c_side.remove(twin_code)
-    kids[twin].append(_code_from_combo(c_side))
+    # Re-root at the twin parent[c]: its branch is the last of c's
+    # children, and c without it becomes one more child of the twin.
+    kids[c].pop()
+    twin = parent[c]
+    kids[twin].append(_code_from_combo(kids[c]))
     return min(code, _code_from_combo(kids[twin]))
 
 

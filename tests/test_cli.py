@@ -372,9 +372,22 @@ def test_suite_field_types_exit_2(tmp_path, capsys):
         "suite entry field 'grid' must be a JSON object": {
             "suites": [{"generator": "grid", "grid": [2, 2]}]
         },
+        "suite entry field 'count_mode' must be a JSON boolean": {
+            "suites": [{"generator": "grid", "grid": {"rows": [2], "cols": [2]}, "count_mode": "false"}]
+        },
+        "suite entry field 'restrict_clique_edges' must be a JSON boolean": {
+            "suites": [{"generator": "lower-nd", "grid": {"k": [3], "s": [2]},
+                        "restrict_clique_edges": "false"}]
+        },
     }
+    booleans_as_integers = [  # messages already above, given a JSON boolean
+        ("suite field 'seed' must be a JSON integer", {"seed": True, "suites": []}),
+        ("suite entry field 'repetitions' must be a JSON integer", {
+            "suites": [{"generator": "random", "grid": {"n": [4], "p": [0.5]}, "repetitions": True}]
+        }),
+    ]
     suite = tmp_path / "suite.json"
-    for message, spec in cases.items():
+    for message, spec in [*cases.items(), *booleans_as_integers]:
         suite.write_text(json.dumps(spec))
         code, _, stderr = invoke(capsys, "bench", "--suite", str(suite))
         assert code == 2

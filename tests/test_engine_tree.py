@@ -219,8 +219,10 @@ def test_canonical_code_of_a_long_path_needs_no_recursion():
         (gen_caterpillar_kayles(10), Player.B, (169, 159, 10), (1, 11)),
         (gen_caterpillar_kayles(20), Player.B, (759, 739, 20), (9, 10)),
         (gray_path(30), Player.W, (733, 705, 28), (14, 15)),
+        (gray_tree(random_tree_pairs(random.Random(1), 28)), Player.B, (5433, 5209, 224), (6, 13)),
+        (gray_tree(random_tree_pairs(random.Random(1), 28)), Player.W, (5433, 5209, 224), (6, 13)),
     ],
-    ids=["caterpillar-10", "caterpillar-20", "path-30"],
+    ids=["caterpillar-10", "caterpillar-20", "path-30", "random-28-B", "random-28-W"],
 )
 def test_exact_search_stats(g, turn, stats, move):
     out = solve_tree(g, turn)

@@ -4,7 +4,9 @@ The (node_expansions, memo_hits, distinct_keys) triples below were
 recorded with the driver that called itself on every child and looked
 the key up inside the call. Any change to how the driver visits
 positions must reproduce them exactly: the search tree, the memo and
-the counts are part of what the CLI prints.
+the counts are part of what the CLI prints. The naive engine's node
+counts were recorded with its root loop written apart from its
+recursion, and pin the plain recursion tree the same way.
 """
 
 import pytest
@@ -18,6 +20,7 @@ from cak import (
     gen_lower_nd,
     gen_lower_vc,
     solve_nd,
+    solve_naive,
     solve_subset,
     solve_vc,
 )
@@ -66,3 +69,21 @@ def test_restricted_nd_accounting(first):
     g = gen_lower_nd(3, 2)
     stats = count_nd_positions(g, first, restrict_to=lower_nd_clique_vertices(3, 2))
     assert triple(stats) == (34, 20, 14)
+
+
+# (board, first player) -> (node_expansions, winner, winning move)
+NAIVE = {
+    ("cram", 2, 3, "B"): (16, "B", (0, 3)),
+    ("cram", 2, 3, "W"): (16, "W", (0, 3)),
+    ("cram", 3, 3, "B"): (139, "W", None),
+    ("cram", 3, 3, "W"): (139, "B", None),
+    ("domineering", 3, 3, "B"): (10, "B", (1, 4)),
+    ("domineering", 3, 3, "W"): (18, "W", (3, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NAIVE), ids=lambda c: "-".join(map(str, c)))
+def test_naive_accounting(case):
+    variant, rows, cols, first = case
+    out = solve_naive(gen_grid(rows, cols, variant), Player(first))
+    assert (out.stats.node_expansions, out.winner.value, out.winning_move) == NAIVE[case]
