@@ -105,6 +105,7 @@ def expand_suite(spec: dict) -> list[_Task]:
         raise ValueError("suite spec must be a JSON object")
     base_turn = Player.parse(_field(spec, "turn", str, "B", "suite"))
     base_engines = _field(spec, "engines", list, ["subset"], "suite")
+    base_count_mode = _field(spec, "count_mode", bool, False, "suite")
     seed_counter = _field(spec, "seed", int, 0, "suite")
     tasks: list[_Task] = []
     for entry in _field(spec, "suites", list, [], "suite"):
@@ -125,7 +126,7 @@ def expand_suite(spec: dict) -> list[_Task]:
         for eng in engines:
             if eng not in ENGINE_NAMES:
                 raise ValueError(f"unknown engine {eng!r}")
-        count_mode = _field(entry, "count_mode", bool, False, "suite entry")
+        count_mode = _field(entry, "count_mode", bool, base_count_mode, "suite entry")
         restrict = _field(entry, "restrict_clique_edges", bool, False, "suite entry")
         if restrict and name != "lower-nd":
             raise ValueError("restrict_clique_edges only applies to lower-nd")

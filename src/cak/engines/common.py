@@ -57,9 +57,9 @@ def playable_edges(g: ColoredGraph, player: Player) -> tuple[Move, ...]:
 
 @contextmanager
 def recursion_capacity() -> Iterator[None]:
-    """Turn a RecursionError inside the block into a CapacityError. The
-    searches recurse once per move played, so a long enough game outruns
-    Python's recursion limit; that is a size limit, not a crash."""
+    """Turn a RecursionError inside the block into a CapacityError. Each
+    move played nests one call (two in tree), so a long enough game
+    outruns Python's recursion limit; that is a size limit, not a crash."""
     try:
         yield
     except RecursionError:

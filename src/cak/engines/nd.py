@@ -34,7 +34,8 @@ def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...
         modules = partition.modules
     else:
         modules = tuple(tuple(sorted(m)) for m in partition)
-    # Twinness is an equivalence, so pairwise twins share one coarsest class.
+    # Twinness is an equivalence, so pairwise twins share one coarsest
+    # class, and each member need only be compared with the first.
     class_of = {v: i for i, m in enumerate(nd_partition(g).modules) for v in m}
     seen: set[int] = set()
     for module in modules:
@@ -46,10 +47,9 @@ def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...
             if v in seen:
                 raise VertexError("invalid partition: vertex {} appears twice", v)
             seen.add(v)
-        for i, u in enumerate(module):
-            for v in module[i + 1 :]:
-                if class_of[u] != class_of[v]:
-                    raise VertexError("invalid partition: {} and {} are not colored twins", u, v)
+        for v in module[1:]:
+            if class_of[v] != class_of[module[0]]:
+                raise VertexError("invalid partition: {} and {} are not colored twins", module[0], v)
     if seen != set(g.alive_vertices()):
         raise ValueError("invalid partition: modules must cover every alive vertex")
     return tuple(sorted(modules))

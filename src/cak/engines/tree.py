@@ -102,74 +102,72 @@ def tree_component_code(g: ColoredGraph, comp: int) -> str:
     return min(code, _code_from_combo(kids[twin]))
 
 
-class _ForestValuer:
-    def __init__(self, g: ColoredGraph):
-        self.g = g
-        self.nbr = g.neighbor_masks()
-        self.edge_masks = tuple(1 << u | 1 << v for u, v, _ in g.edges)
-        self.memo: dict[str, int] = {}  # canonical code -> value
-        self.by_mask: dict[int, int] = {}  # component mask -> value
-        self.stats = SearchStats()
+def _forest_search(
+    g: ColoredGraph, alive: Optional[int], solve: bool
+) -> tuple[int, Optional[tuple[int, int]], SearchStats]:
+    """Value of the forest on alive and, with solve and a nonzero value,
+    the smallest edge to a child of value zero. Each component is probed
+    by vertex set, then by canonical code, and its moves are expanded
+    only when both miss. A move nests exactly two calls (forest, then
+    children): a comprehension there would add a frame on the Pythons
+    that do not inline it."""
+    t0 = perf_counter()
+    mask = resolve_alive(g, alive)
+    check_gray_forest(g, mask)
+    nbr = g.neighbor_masks()
+    edge_masks = tuple(1 << u | 1 << v for u, v, _ in g.edges)
+    by_mask: dict[int, int] = {}  # component mask -> value
+    by_code: dict[str, int] = {}  # canonical code -> value
+    nodes = 0
 
-    def forest_value(self, mask: int) -> int:
+    def forest(mask: int) -> int:
+        nonlocal nodes
         total = 0
-        for comp in split_components(mask, self.nbr):
-            total ^= self.component_value(comp)
+        for comp in split_components(mask, nbr):
+            nodes += 1
+            value = by_mask.get(comp)
+            if value is None:
+                code = tree_component_code(g, comp)
+                value = by_code.get(code)
+                if value is None:
+                    value = by_code[code] = children(comp)
+                by_mask[comp] = value
+            total ^= value
         return total
 
-    def component_value(self, comp: int) -> int:
-        """Value of one component, looked up by vertex set first and by
-        canonical shape second; either lookup answering is a memo hit."""
-        self.stats.node_expansions += 1
-        value = self.by_mask.get(comp)
-        if value is not None:
-            self.stats.memo_hits += 1
-            return value
-        code = tree_component_code(self.g, comp)
-        value = self.memo.get(code)
-        if value is not None:
-            self.stats.memo_hits += 1
-        else:
-            child_values = set()
-            for em in self.edge_masks:
-                if comp & em == em:
-                    child_values.add(self.forest_value(comp & ~em))
-            value = mex(child_values)
-            self.memo[code] = value
-            self.stats.distinct_keys = len(self.memo)
-        self.by_mask[comp] = value
-        return value
+    def children(comp: int) -> int:
+        values = set()
+        for em in edge_masks:
+            if comp & em == em:
+                values.add(forest(comp ^ em))
+        return mex(values)
+
+    move = None
+    with recursion_capacity():
+        value = forest(mask)
+        if solve and value:
+            for u, v, _ in g.edges:
+                em = 1 << u | 1 << v
+                if mask & em == em and forest(mask ^ em) == 0:
+                    move = (u, v)
+                    break
+    # Every miss stores one new code (its moves reach only smaller
+    # components), so the visits that are not misses are the memo hits.
+    keys = len(by_code)
+    return value, move, SearchStats(nodes, nodes - keys, keys, perf_counter() - t0)
 
 
 def grundy_tree(g: ColoredGraph, alive: Optional[int] = None) -> int:
     """Sprague-Grundy value of an all-gray forest position."""
-    mask = resolve_alive(g, alive)
-    check_gray_forest(g, mask)
-    with recursion_capacity():
-        return _ForestValuer(g).forest_value(mask)
+    return _forest_search(g, alive, solve=False)[0]
 
 
 def solve_tree(g: ColoredGraph, turn: Player, alive: Optional[int] = None) -> Outcome:
     """Winner by Grundy value: the mover wins iff the value is nonzero,
     and then the smallest edge whose child position has value zero is a
     winning move."""
-    t0 = perf_counter()
-    mask = resolve_alive(g, alive)
-    check_gray_forest(g, mask)
-    valuer = _ForestValuer(g)
-    move = None
-    with recursion_capacity():
-        value = valuer.forest_value(mask)
-        if value:
-            for u, v, _ in g.edges:
-                em = 1 << u | 1 << v
-                if mask & em == em and valuer.forest_value(mask & ~em) == 0:
-                    move = (u, v)
-                    break
-    stats = valuer.stats
-    stats.elapsed = perf_counter() - t0
-    winner = turn if value else turn.opponent
-    return Outcome(winner, move, stats)
+    value, move, stats = _forest_search(g, alive, solve=True)
+    return Outcome(turn if value else turn.opponent, move, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,14 @@ def test_run_bench_records():
     assert restricted[0].distinct_keys >= 13
 
 
+def test_top_level_count_mode_is_each_entry_default():
+    grid = {"generator": "grid", "grid": {"rows": [2], "cols": [2]}}
+    (counted,) = run_bench({"count_mode": True, "suites": [grid]})
+    assert counted.winner == ""
+    (solved,) = run_bench({"count_mode": True, "suites": [{**grid, "count_mode": False}]})
+    assert solved.winner == "W"
+
+
 def test_run_bench_captures_engine_errors():
     spec = {
         "suites": [

@@ -372,6 +372,7 @@ def test_suite_field_types_exit_2(tmp_path, capsys):
         "suite entry field 'grid' must be a JSON object": {
             "suites": [{"generator": "grid", "grid": [2, 2]}]
         },
+        "suite field 'count_mode' must be a JSON boolean": {"count_mode": "yes", "suites": []},
         "suite entry field 'count_mode' must be a JSON boolean": {
             "suites": [{"generator": "grid", "grid": {"rows": [2], "cols": [2]}, "count_mode": "false"}]
         },

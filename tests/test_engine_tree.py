@@ -221,8 +221,14 @@ def test_canonical_code_of_a_long_path_needs_no_recursion():
         (gray_path(30), Player.W, (733, 705, 28), (14, 15)),
         (gray_tree(random_tree_pairs(random.Random(1), 28)), Player.B, (5433, 5209, 224), (6, 13)),
         (gray_tree(random_tree_pairs(random.Random(1), 28)), Player.W, (5433, 5209, 224), (6, 13)),
+        # five components; the winning move lies outside the first one
+        (random_forest(random.Random(7), 30), Player.B, (147, 133, 14), (3, 23)),
+        (random_forest(random.Random(7), 30), Player.W, (147, 133, 14), (3, 23)),
     ],
-    ids=["caterpillar-10", "caterpillar-20", "path-30", "random-28-B", "random-28-W"],
+    ids=[
+        "caterpillar-10", "caterpillar-20", "path-30", "random-28-B", "random-28-W",
+        "forest-30-B", "forest-30-W",
+    ],
 )
 def test_exact_search_stats(g, turn, stats, move):
     out = solve_tree(g, turn)
@@ -232,8 +238,23 @@ def test_exact_search_stats(g, turn, stats, move):
     assert out.winning_move == move
 
 
+@pytest.mark.parametrize("turn", list(Player), ids=lambda p: p.value)
+def test_exact_search_stats_under_an_alive_mask(turn):
+    g = gray_path(30)
+    out = solve_tree(g, turn, alive=g.alive & ~(1 << 10))  # paths of 10 and 19
+    s = out.stats
+    assert (s.node_expansions, s.memo_hits, s.distinct_keys) == (244, 227, 17)
+    assert out.winner is turn.opponent
+    assert out.winning_move is None
+
+
 def test_path_30_grundy_value():
     assert grundy_tree(gray_path(30)) == 4
+
+
+@pytest.mark.parametrize("n, value", [(40, 3), (60, 2), (80, 2)])
+def test_longer_path_grundy_values(n, value):
+    assert grundy_tree(gray_path(n)) == value
 
 
 def test_too_deep_search_is_a_capacity_error():
