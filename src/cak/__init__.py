@@ -45,13 +45,11 @@ from .graph import (
     swap_colors,
 )
 from .params import (
-    EquivalenceClasses,
     ModulePartition,
     VertexCover,
     equivalence_classes,
     min_vertex_cover,
     nd_partition,
-    representative_edges,
 )
 
 __version__ = "0.1.0"

@@ -83,7 +83,7 @@ def _load_partition(path: str, n: int) -> list[list[int]]:
 def _cmd_solve(args) -> int:
     g = _read_graph(args.file)
     turn = Player.parse(args.first)
-    given = {"max_n": args.max_n, "cover": args.cover or None, "partition": args.partition or None}
+    given = {"max_n": args.max_n, "cover": args.cover, "partition": args.partition}
     options = {key: value for key, value in given.items() if value is not None}
     # Whether the engine takes an option is checked before the option's value.
     engine, fn = select_engine(args.engine, g, args.count_mode, args.vc_threshold, options)
@@ -136,8 +136,8 @@ def _cmd_params(args) -> int:
             "cover": sorted(v + 1 for v in cover.vertices),
             "nu": partition.count,
             "module_sizes": sorted((len(m) for m in partition.modules), reverse=True),
-            "equivalence_classes": len(classes.classes),
-            "class_sizes": sorted((len(m) for m in classes.classes.values()), reverse=True),
+            "equivalence_classes": len(classes),
+            "class_sizes": sorted((len(m) for m in classes.values()), reverse=True),
         }
     )
     return 0

@@ -25,10 +25,10 @@ from time import perf_counter
 from typing import Iterable, Optional
 
 from ..graph import ColoredGraph, Player, bits, resolve_alive
-from ..params import as_cover, class_vector, cover_classes, min_vertex_cover
+from ..params import as_cover, cover_classes, min_vertex_cover
 from .common import PLAYERS, Move, Outcome, SearchStats, playable_edges, search
 
-VcKey = tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...], Player]
+VcKey = tuple[int, tuple[tuple[tuple[int, int, int], int], ...], int]
 
 # Per side, the indices of its (gray, own color) masks in a class's
 # (gray, black, white) masks.
@@ -37,10 +37,7 @@ _OWN_MASKS = ((0, 1), (0, 2))
 
 class _CoverSearch:
     def __init__(self, g: ColoredGraph, cover: Optional[Iterable[int]]):
-        if cover is None:
-            cover_set = min_vertex_cover(g).vertices
-        else:
-            cover_set = as_cover(g, cover)
+        cover_set = min_vertex_cover(g).vertices if cover is None else as_cover(g, cover)
         self.g = g
         self.cover_mask = sum(1 << v for v in cover_set)
         self.nbr = g.neighbor_masks()
@@ -73,13 +70,11 @@ class _CoverSearch:
 def vc_canonical_key(
     g: ColoredGraph, alive: Optional[int], cover: Iterable[int], turn: Player
 ) -> VcKey:
-    """Memo key of a position for a fixed cover (exposed for testing),
-    with each class's color masks given as its vector."""
-    alive_cover, counts, _ = _CoverSearch(g, cover).key(
-        resolve_alive(g, alive), PLAYERS.index(turn)
-    )
-    order = tuple(bits(alive_cover))
-    return (order, tuple(sorted((class_vector(m, order), n) for m, n in counts)), turn)
+    """The engine's memo key of a position for a fixed cover (exposed for
+    testing): the mask of alive, non-isolated cover vertices, the sorted
+    (class masks, class size) pairs, and the side to move as its index
+    in PLAYERS (0 = B, 1 = W)."""
+    return _CoverSearch(g, cover).key(resolve_alive(g, alive), PLAYERS.index(turn))
 
 
 def _run(

@@ -49,8 +49,9 @@ def bits(mask: int) -> list[int]:
 class Color(IntEnum):
     """Edge color.
 
-    Integer values give the canonical order used by class vectors:
-    absent (0) < GRAY < BLACK < WHITE.
+    Integer values give the canonical order, with 0 for an absent edge:
+    absent (0) < GRAY < BLACK < WHITE. color_masks() and the cover
+    classes list their per-color masks in this order.
     """
 
     GRAY = 1

@@ -37,23 +37,6 @@ class ModulePartition:
         return len(self.modules)
 
 
-@dataclass
-class EquivalenceClasses:
-    """Non-cover vertices grouped by their color vector toward the cover.
-
-    cover_order lists the alive cover vertices in increasing id; every
-    class vector is aligned to it, one entry per cover vertex, with 0
-    for absent and Color values otherwise. Members are sorted, so the
-    representative of a class is its first (smallest-id) member.
-    """
-
-    cover_order: tuple[int, ...]
-    classes: dict[tuple[int, ...], tuple[int, ...]]
-
-    def representative(self, vector: tuple[int, ...]) -> int:
-        return self.classes[vector][0]
-
-
 def _greedy_matching(nbr: tuple[int, ...], live: int) -> int:
     """Vertices of a greedily built maximal matching of the graph on
     live: each vertex in increasing id, if still unmatched, takes its
@@ -164,23 +147,18 @@ def nd_partition(g: ColoredGraph, ignore_colors: bool = False) -> ModulePartitio
     return ModulePartition(tuple(modules), kind)
 
 
-def _check_cover(g: ColoredGraph, cover, mask: int) -> None:
-    """Raise unless cover meets every edge between vertices alive in mask."""
-    for u, v, _ in g.edges:
-        if mask >> u & 1 and mask >> v & 1 and u not in cover and v not in cover:
-            raise VertexError("not a vertex cover: edge {{{}, {}}} uncovered", u, v)
-
-
-def as_cover(g: ColoredGraph, cover) -> frozenset[int]:
-    """Normalize a user-supplied cover and verify it covers g's edges."""
-    if isinstance(cover, VertexCover):
-        vertices = cover.vertices
-    else:
-        vertices = frozenset(cover)
+def as_cover(g: ColoredGraph, cover, mask: Optional[int] = None) -> frozenset[int]:
+    """Normalize a user-supplied cover, check that its ids are vertices
+    of g, and verify that it meets every edge between vertices alive in
+    mask (g.alive by default)."""
+    vertices = cover.vertices if isinstance(cover, VertexCover) else frozenset(cover)
     for v in vertices:
         if not (0 <= v < g.n):
             raise VertexError("cover vertex {} out of range", v)
-    _check_cover(g, vertices, g.alive)
+    live = g.alive if mask is None else mask
+    for u, v, _ in g.edges:
+        if live >> u & 1 and live >> v & 1 and u not in vertices and v not in vertices:
+            raise VertexError("not a vertex cover: edge {{{}, {}}} uncovered", u, v)
     return vertices
 
 
@@ -188,8 +166,9 @@ def cover_classes(
     g: ColoredGraph, noncover: int, cover: int
 ) -> dict[tuple[int, int, int], list[int]]:
     """The vertices of the mask noncover, in increasing id, grouped by
-    their gray, black and white neighbor masks within the mask cover.
-    Given cover, these masks and the class vector fix each other."""
+    their gray, black and white neighbor masks within the mask cover:
+    two vertices share a class exactly when each cover vertex is joined
+    to both by an edge of the same color, or to neither."""
     gray, black, white = g.color_masks()
     classes: dict[tuple[int, int, int], list[int]] = {}
     for v in bits(noncover):
@@ -197,42 +176,14 @@ def cover_classes(
     return classes
 
 
-def class_vector(masks: tuple[int, int, int], order: tuple[int, ...]) -> tuple[int, ...]:
-    """A class's color masks as its vector of Color values toward order, 0 for absent."""
-    gray, black, white = masks
-    return tuple((gray >> u & 1) + (black >> u & 1) * 2 + (white >> u & 1) * 3 for u in order)
-
-
 def equivalence_classes(
     g: ColoredGraph, alive: Optional[int] = None, cover: Optional[Iterable[int]] = None
-) -> EquivalenceClasses:
-    """Group the alive non-cover vertices by their vector of edge colors
-    toward the alive cover vertices. Raises when the cover misses an
-    alive edge."""
+) -> dict[tuple[int, int, int], list[int]]:
+    """The cover classes of a position: cover_classes of the alive
+    non-cover vertices toward the alive cover vertices. cover defaults
+    to a minimum vertex cover of g; a given one is checked by as_cover
+    against the alive edges."""
     mask = resolve_alive(g, alive)
-    cover_set = set(min_vertex_cover(g).vertices if cover is None else cover)
-    alive_cover = sum(1 << v for v in cover_set) & mask
-    cover_order = tuple(bits(alive_cover))
-    _check_cover(g, cover_set, mask)
-    members = cover_classes(g, mask & ~alive_cover, alive_cover)
-    vectors = {class_vector(k, cover_order): tuple(v) for k, v in members.items()}
-    return EquivalenceClasses(cover_order, dict(sorted(vectors.items())))
-
-
-def representative_edges(
-    g: ColoredGraph, alive: Optional[int] = None, cover: Optional[Iterable[int]] = None
-) -> set[tuple[int, int]]:
-    """Edges between alive cover vertices and class representatives.
-
-    For each equivalence class, only its smallest member keeps its edges
-    toward the cover; a search restricted to these (plus cover-internal
-    edges) reaches child positions equivalent to those of the full move
-    set."""
-    classes = equivalence_classes(g, alive, cover)
-    result: set[tuple[int, int]] = set()
-    for vector, group in classes.classes.items():
-        rep = group[0]
-        for u, code in zip(classes.cover_order, vector):
-            if code:
-                result.add((min(u, rep), max(u, rep)))
-    return result
+    vertices = min_vertex_cover(g).vertices if cover is None else as_cover(g, cover, mask)
+    alive_cover = sum(1 << v for v in vertices) & mask
+    return cover_classes(g, mask & ~alive_cover, alive_cover)

@@ -25,6 +25,20 @@ def build(n, lettered_edges, alive=None):
     return ColoredGraph(n, edges, alive)
 
 
+def representative_edges(classes):
+    """Edges from each cover class's first member to every vertex of its
+    gray, black and white masks: the moves into classes that the
+    cover-keyed engine tries. classes maps masks to sorted members."""
+    edges = set()
+    for masks, members in classes.items():
+        rep = members[0]
+        union = masks[0] | masks[1] | masks[2]
+        for u in range(union.bit_length()):
+            if union >> u & 1:
+                edges.add((min(u, rep), max(u, rep)))
+    return edges
+
+
 def random_lettered_edges(rng, n, p, letters="gbw"):
     return [
         (u, v, rng.choice(letters))

@@ -1,8 +1,10 @@
 """Command-line interface: JSON shapes, exit codes, byte stability."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,11 +63,45 @@ def test_solve_timing_flag(tmp_path, capsys):
     assert report["stats"]["elapsed"] >= 0.0
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_solve_example():
+    """The JSON block README shows as the exact output of solving board.cak."""
+    after = README.read_text().split("`cak solve -f board.cak -e subset` prints exactly", 1)[1]
+    return after.split("```json\n", 1)[1].split("```", 1)[0]
+
+
 def test_solve_output_is_byte_stable(tmp_path, capsys):
     f = write_cak(tmp_path, gen_grid(2, 3))
     _, first, _ = invoke(capsys, "solve", "-f", f, "-e", "subset")
     _, second, _ = invoke(capsys, "solve", "-f", f, "-e", "subset")
     assert first == second
+    assert first == readme_solve_example()
+
+
+def test_output_is_byte_stable_across_hash_seeds(tmp_path):
+    """Set and dict iteration order of str keys depends on the hash seed,
+    so run each command in fresh processes under two seeds."""
+    cat = write_cak(tmp_path, gen_caterpillar_kayles(7), "cat.cak")
+    colored = write_cak(tmp_path, gen_random(12, 0.3, seed=5), "colored.cak")
+    commands = (
+        ("solve", "-f", cat),
+        ("grundy", "-f", cat),
+        ("params", "-f", colored),
+        ("solve", "-f", colored, "-e", "vc", "--count-mode"),
+    )
+    for argv in commands:
+        outputs = set()
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cak.cli", *argv],
+                capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, argv
 
 
 def test_auto_engine_selection(tmp_path, capsys):
@@ -295,6 +331,17 @@ def test_engine_options_must_apply_to_the_engine_that_runs(tmp_path, capsys):
         assert json.loads(stdout)["engine"] == "subset"
     code, _, stderr = invoke(capsys, "solve", "-f", cram, "-e", "subset", "--max-n", "3")
     assert code == 2
+
+
+def test_empty_engine_options_are_given_options(tmp_path, capsys):
+    cram = write_cak(tmp_path, gen_grid(2, 2))
+    for option in ("--cover", "--partition"):
+        code, _, stderr = invoke(capsys, "solve", "-f", cram, "-e", "subset", option, "")
+        assert code == 2
+        assert f"option {option[2:]} does not apply to engine 'subset'" in stderr
+    code, _, stderr = invoke(capsys, "solve", "-f", cram, "-e", "vc", "--cover", "")
+    assert code == 2
+    assert "not a vertex cover" in stderr
 
 
 def run_cli(*argv):

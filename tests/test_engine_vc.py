@@ -7,17 +7,17 @@ import pytest
 from cak import (
     Player,
     count_vc_positions,
+    equivalence_classes,
     gen_lower_vc,
     min_vertex_cover,
     permute,
-    representative_edges,
     solve_naive,
     solve_subset,
     solve_vc,
     vc_canonical_key,
 )
 
-from _oracles import build, random_lettered_edges
+from _oracles import build, random_lettered_edges, representative_edges
 
 
 def reachable_positions(g, turn):
@@ -113,7 +113,8 @@ def test_single_edge_key_count():
 def test_fresh_star_key_shape():
     star = build(4, [(0, 1, "g"), (0, 2, "g"), (0, 3, "g")])
     key = vc_canonical_key(star, None, {0}, Player.B)
-    assert key == ((0,), (((1,), 3),), Player.B)
+    # (alive cover mask, sorted (class masks, class size) pairs, side index)
+    assert key == (0b1, (((0b1, 0, 0), 3),), 0)
 
 
 def test_key_invariant_under_noncover_relabeling():
@@ -171,7 +172,11 @@ def test_restricted_moves_reach_every_child_key():
         cover = min_vertex_cover(g).vertices
         for mask, player in reachable_positions(g, Player.B):
             full, restricted = set(), set()
-            rep = representative_edges(g, alive=mask, cover=cover)
+            classes = equivalence_classes(g, mask, cover)
+            # the mask grouping is the vector grouping of the reference
+            _, layout = vc_layout(g, cover, mask)
+            assert sorted(m for k, m in classes.items() if any(k)) == sorted(layout.values())
+            rep = representative_edges(classes)
             for u, v, c in g.edges:
                 em = 1 << u | 1 << v
                 if mask & em != em or not player.can_play(c):

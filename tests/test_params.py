@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from cak import (
     ColoredGraph,
+    Player,
     VertexCover,
+    VertexError,
     equivalence_classes,
     gen_grid,
     gen_lower_vc,
     gen_random,
     min_vertex_cover,
     nd_partition,
-    representative_edges,
+    vc_canonical_key,
 )
 from cak.graph import induced_mask
 from cak.params import as_cover, cover_at_most
@@ -23,6 +25,7 @@ from _oracles import (
     build,
     exhaustive_min_cover_size,
     random_lettered_edges,
+    representative_edges,
     twin_classes_oracle,
 )
 
@@ -207,30 +210,30 @@ def test_nd_bound_by_cover_for_gray_graphs():
 def test_equivalence_classes_single_black_edge():
     g = build(2, [(0, 1, "b")])
     classes = equivalence_classes(g, cover={0})
-    assert classes.cover_order == (0,)
-    assert classes.classes == {(2,): (1,)}
-    assert classes.representative((2,)) == 1
+    # keyed by (gray, black, white) neighbor masks within the cover
+    assert classes == {(0, 0b1, 0): [1]}
 
 
 def test_equivalence_classes_star():
     star = build(4, [(0, 1, "g"), (0, 2, "g"), (0, 3, "g")])
     classes = equivalence_classes(star, cover={0})
-    assert classes.classes == {(1,): (1, 2, 3)}
+    assert classes == {(0b1, 0, 0): [1, 2, 3]}
 
 
 def test_equivalence_classes_lower_vc_2():
     g = gen_lower_vc(2)
     classes = equivalence_classes(g, cover={0, 1})
-    assert len(classes.classes) == 4  # one class per base-4 pattern
-    assert all(len(members) == 1 for members in classes.classes.values())
-    vectors = set(classes.classes)
-    assert vectors == {(0, 2), (1, 2), (2, 2), (3, 2)}
+    assert len(classes) == 4  # one class per base-4 pattern
+    assert all(len(members) == 1 for members in classes.values())
+    # every class is black toward vertex 1; toward vertex 0 it is
+    # absent, gray, black or white
+    assert set(classes) == {(0, 0b10, 0), (0b01, 0b10, 0), (0, 0b11, 0), (0, 0b10, 0b01)}
 
 
 def test_equivalence_classes_respect_alive_mask():
     star = build(4, [(0, 1, "g"), (0, 2, "g"), (0, 3, "g")])
     classes = equivalence_classes(star, alive=0b0101, cover={0})
-    assert classes.classes == {(1,): (2,)}
+    assert classes == {(0b1, 0, 0): [2]}
     with pytest.raises(ValueError):
         equivalence_classes(star, alive=0b11111)
 
@@ -240,7 +243,7 @@ def test_alive_masks_that_are_not_ints_are_value_errors():
     with pytest.raises(ValueError):
         equivalence_classes(star, alive=1.5)
     with pytest.raises(ValueError):
-        representative_edges(star, alive="x")
+        vc_canonical_key(star, "x", {0}, Player.B)
     with pytest.raises(ValueError):
         induced_mask(star, 1.5)
 
@@ -251,14 +254,27 @@ def test_equivalence_classes_need_a_cover():
         equivalence_classes(p3, cover={0})
 
 
+def test_equivalence_classes_check_a_given_cover_like_the_engine():
+    p3 = build(3, [(0, 1, "g"), (1, 2, "g")])
+    for cover in ({1, 7}, {1, -1}):
+        with pytest.raises(VertexError, match="out of range"):
+            equivalence_classes(p3, cover=cover)
+        with pytest.raises(VertexError, match="out of range"):
+            vc_canonical_key(p3, None, cover, Player.B)
+    # only the edges between alive vertices need covering
+    assert equivalence_classes(p3, alive=0b011, cover={0}) == {(0b1, 0, 0): [1]}
+
+
 def test_representative_edges_examples():
     star = build(4, [(0, 1, "g"), (0, 2, "g"), (0, 3, "g")])
-    assert representative_edges(star, cover={0}) == {(0, 1)}
+    assert representative_edges(equivalence_classes(star, cover={0})) == {(0, 1)}
     black = build(2, [(0, 1, "b")])
-    assert representative_edges(black, cover={0}) == {(0, 1)}
+    assert representative_edges(equivalence_classes(black, cover={0})) == {(0, 1)}
     c4 = build(4, [(0, 1, "g"), (1, 2, "g"), (2, 3, "g"), (0, 3, "g")])
     # one class {1, 3} with representative 1, adjacent to both cover ends
-    assert representative_edges(c4, cover={0, 2}) == {(0, 1), (1, 2)}
+    classes = equivalence_classes(c4, cover={0, 2})
+    assert classes == {(0b101, 0, 0): [1, 3]}
+    assert representative_edges(classes) == {(0, 1), (1, 2)}
 
 
 def test_as_cover_normalizes_and_validates():
