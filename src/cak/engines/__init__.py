@@ -1,7 +1,7 @@
 """Winner-determination engines and the registry that names them.
 
 naive   exhaustive recursion, no memo (the reference oracle)
-subset  memo on (alive bitmask, turn)
+subset  memo on the alive bitmask
 vc      memo on cover-class keys, moves thinned to representatives
 nd      memo on per-module survivor counts
 tree    Sprague-Grundy on gray forests, canonical-form memo

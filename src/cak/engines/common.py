@@ -6,7 +6,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from ..graph import Color, ColoredGraph, Player
 
@@ -74,7 +74,7 @@ def search(
     g: ColoredGraph,
     turn: Player,
     key: Callable[[int, int], Hashable],
-    moves: Callable[[int, int, Hashable], Iterable[Move]],
+    moves: Callable[[int, int, Hashable], Sequence[Move]],
     short_circuit: bool,
     started: float,
 ) -> Outcome:
@@ -90,41 +90,49 @@ def search(
     after its key, with no other key call in between, and takes the
     whole list before it computes a child's key, so an engine may hand
     state from key to moves. A candidate whose endpoints are not both
-    alive is skipped. With short_circuit off, every child is evaluated,
-    so the stats cover the whole memoized recursion tree. started is
-    the perf_counter() reading the elapsed time is measured from, so an
-    engine's set-up (cover, partition) counts too.
+    alive is skipped.
+
+    The root tries its candidates in sorted order, so the first losing
+    child it meets is the smallest winning move. An inner position
+    needs only whether its mover wins, so it tries its candidates in
+    the order moves gives them: an engine may put the likely winners
+    first to cut off sooner. With short_circuit off, every child is
+    evaluated, so the stats cover the whole memoized recursion tree
+    whatever the order. started is the perf_counter() reading the
+    elapsed time is measured from, so an engine's set-up (cover,
+    partition) counts too.
     """
     memo: dict = {}
     nodes, hits = 1, 0  # the root is visited and is never a memo hit
 
-    def first_win(mask: int, side: int, k) -> Optional[tuple[int, int]]:
-        """The first winning candidate (u, v) of a position whose key k
-        missed the memo, or None; stores whether the mover wins. Each
-        child's key is probed here, so a memo hit costs no call."""
+    def first_win(mask: int, side: int, candidates: Sequence[Move]) -> Optional[tuple[int, int]]:
+        """The first winning candidate (u, v) of a position, or None.
+        Each child's key is probed here, so a memo hit costs no call,
+        and a miss stores the child's answer."""
         nonlocal nodes, hits
         found = None
         opp = side ^ 1
-        for u, v, em in moves(mask, side, k):
+        for u, v, em in candidates:
             if mask & em == em:
                 child = mask ^ em
                 ck = key(child, opp)
                 nodes += 1
                 won = memo.get(ck)
                 if won is None:
-                    won = first_win(child, opp, ck) is not None
+                    won = memo[ck] = first_win(child, opp, moves(child, opp, ck)) is not None
                 else:
                     hits += 1
                 if not won and found is None:
                     found = (u, v)
                     if short_circuit:
                         break
-        memo[k] = found is not None
         return found
 
     side = PLAYERS.index(turn)
+    k = key(g.alive, side)
     with recursion_capacity():
-        move = first_win(g.alive, side, key(g.alive, side))
+        move = first_win(g.alive, side, sorted(moves(g.alive, side, k)))
+    memo[k] = move is not None
     stats = SearchStats(nodes, hits, len(memo), perf_counter() - started)
     winner = turn if move is not None else turn.opponent
     return Outcome(winner, move, stats)

@@ -16,7 +16,7 @@ per search.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from time import perf_counter
 from typing import Iterable, Optional
 
@@ -33,7 +33,11 @@ def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...
     if isinstance(partition, ModulePartition):
         modules = partition.modules
     else:
-        modules = tuple(tuple(sorted(m)) for m in partition)
+        modules = tuple(map(tuple, partition))
+        for v in chain.from_iterable(modules):
+            if not isinstance(v, int):
+                raise VertexError("invalid partition: vertex {} is not an int", v)
+        modules = tuple(tuple(sorted(m)) for m in modules)
     # Twinness is an equivalence, so pairwise twins share one coarsest
     # class, and each member need only be compared with the first.
     class_of = {v: i for i, m in enumerate(nd_partition(g).modules) for v in m}

@@ -7,6 +7,15 @@ to move, and the key is the mask alone. Keys are deliberately
 canonicalization-free: this engine is the semantic baseline the cover-
 and module-keyed engines are measured against, so it must not merge
 isomorphic positions.
+
+Move order: each side's playable edges are sorted once per search, the
+edges that destroy the most opponent edges of the start graph first,
+ties in lexicographic order, and every position below the root tries
+them in that order. A move that leaves the opponent few replies is the
+likely winner, so the search cuts off sooner. The order costs nothing
+per node, and it is sound because an inner position needs only whether
+its mover wins, which no order changes; the root sorts its candidates
+again, so the winning move is still the smallest one.
 """
 
 from __future__ import annotations
@@ -14,9 +23,25 @@ from __future__ import annotations
 from time import perf_counter
 
 from ..graph import ColoredGraph, Player
-from .common import PLAYERS, CapacityError, Move, Outcome, SearchStats, playable_edges, search
+from .common import (
+    PLAYABLE,
+    PLAYERS,
+    CapacityError,
+    Move,
+    Outcome,
+    SearchStats,
+    playable_edges,
+    search,
+)
 
 DEFAULT_MAX_N = 32
+
+
+def _destroyed(move: Move, opp: list[int]) -> int:
+    """How many of the edges in the neighbour masks opp playing move
+    destroys: every one at either end, the edge itself once."""
+    u, v, _ = move
+    return opp[u].bit_count() + opp[v].bit_count() - (opp[u] >> v & 1)
 
 
 def _run(g: ColoredGraph, turn: Player, max_n: int, short_circuit: bool) -> Outcome:
@@ -26,7 +51,18 @@ def _run(g: ColoredGraph, turn: Player, max_n: int, short_circuit: bool) -> Outc
             " (raise max_n explicitly if you mean it)"
         )
     t0 = perf_counter()
-    edges = tuple(playable_edges(g, p) for p in PLAYERS)
+    masks = g.color_masks()
+    # Per side, each vertex's neighbours over the edges that side may play.
+    reach = tuple(
+        [sum(masks[c - 1][v] for c in playable) for v in range(g.n)] for playable in PLAYABLE
+    )
+
+    # Per side, its playable edges, those that destroy the most opponent
+    # edges first, ties in lexicographic order.
+    edges = tuple(
+        tuple(sorted(playable_edges(g, p), key=lambda m: (-_destroyed(m, reach[side ^ 1]), m)))
+        for side, p in enumerate(PLAYERS)
+    )
 
     def moves(mask: int, side: int, key) -> tuple[Move, ...]:
         return edges[side]

@@ -153,6 +153,8 @@ def as_cover(g: ColoredGraph, cover, mask: Optional[int] = None) -> frozenset[in
     mask (g.alive by default)."""
     vertices = cover.vertices if isinstance(cover, VertexCover) else frozenset(cover)
     for v in vertices:
+        if not isinstance(v, int):
+            raise VertexError("cover vertex {} is not an int", v)
         if not (0 <= v < g.n):
             raise VertexError("cover vertex {} out of range", v)
     live = g.alive if mask is None else mask

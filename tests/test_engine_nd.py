@@ -76,6 +76,14 @@ def test_partition_errors_carry_their_vertex_ids():
     assert info.value.one_based() == "invalid partition: vertex 3 not alive in the graph"
 
 
+def test_partition_rejects_ids_that_are_not_ints():
+    p3 = build(3, [(0, 1, "g"), (1, 2, "g")])
+    for bad in (1.0, "1", None):
+        with pytest.raises(VertexError, match="is not an int") as info:
+            solve_nd(p3, Player.B, partition=[[0, 2], [bad]])
+        assert info.value.ids == (bad,)
+
+
 def test_k33_key_count():
     k33 = build(6, [(u, v, "g") for u in range(3) for v in range(3, 6)])
     out = solve_nd(k33, Player.B)

@@ -123,7 +123,7 @@ def _stats(result):
 @pytest.mark.parametrize(
     "run, want_stats, want_move",
     [
-        (lambda: solve_subset(gen_grid(3, 3), Player.B), (91, 41, 50), None),
+        (lambda: solve_subset(gen_grid(3, 3), Player.B), (81, 32, 49), None),
         (lambda: solve_vc(gen_grid(3, 4, "domineering"), Player.W), (44, 12, 32), (0, 1)),
         (lambda: solve_nd(gen_lower_nd(3, 2), Player.B), (97, 48, 49), None),
         (lambda: count_nd_positions(gen_lower_nd(3, 2), Player.B), (275, 200, 75), None),
@@ -136,3 +136,22 @@ def test_exact_stats(run, want_stats, want_move):
     result = run()
     assert _stats(result) == want_stats
     assert getattr(result, "winning_move", None) == want_move
+
+
+def test_domineering_5x6_both_first_players():
+    """Transposing the board turns vertical edges into horizontal ones,
+    so the 6x5 board with the roles swapped mirrors each answer: the
+    cell (r, c) of 5x6 is the cell (c, r) of 6x5."""
+
+    def transpose(v):
+        r, c = divmod(v, 6)
+        return c * 5 + r
+
+    want = {Player.B: (Player.W, None), Player.W: (Player.W, (0, 1))}
+    for first, (winner, move) in want.items():
+        out = solve_subset(gen_grid(5, 6, "domineering"), first)
+        assert (out.winner, out.winning_move) == (winner, move)
+        mirror = solve_subset(gen_grid(6, 5, "domineering"), first.opponent)
+        assert mirror.winner is winner.opponent
+        assert mirror.winning_move == (move and tuple(sorted(map(transpose, move))))
+    assert solve_subset(gen_grid(6, 5, "domineering"), Player.B).winning_move == (0, 5)

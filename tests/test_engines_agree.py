@@ -1,8 +1,10 @@
 """Every engine finds the same winner and the same winning move."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from cak import Player, solve_naive, solve_nd, solve_subset, solve_tree, solve_vc
+from cak import Player, gen_grid, solve_naive, solve_nd, solve_subset, solve_tree, solve_vc
+from cak.engines import nd as nd_engine, subset as subset_engine, vc as vc_engine
 from cak.engines.tree import check_gray_forest
 from cak.params import min_vertex_cover, nd_partition
 
@@ -96,3 +98,35 @@ def test_nd_under_a_finer_partition_agrees_with_naive(case):
         want = solve_naive(g, turn)
         out = solve_nd(g, turn, partition=fine)
         assert (out.winner, out.winning_move) == (want.winner, want.winning_move)
+
+
+# Each driver engine's solve mode, and the same search with every child
+# evaluated. Full expansion computes every win bit, which does not
+# depend on the order of the candidates, and its root tries them in
+# sorted order too, so its winning move is the smallest one.
+SOLVE_AND_FULL = (
+    (solve_subset, lambda g, turn: subset_engine._run(g, turn, g.n, short_circuit=False)),
+    (solve_vc, lambda g, turn: vc_engine._run(g, turn, None, short_circuit=False)),
+    (solve_nd, lambda g, turn: nd_engine._run(g, turn, None, short_circuit=False)),
+)
+
+
+def assert_order_independent(g):
+    for solve, full in SOLVE_AND_FULL:
+        for turn in Player:
+            out, want = solve(g, turn), full(g, turn)
+            assert (out.winner, out.winning_move) == (want.winner, want.winning_move)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(positions())
+def test_inner_order_leaves_winner_and_move_alone(case):
+    """Below the root an engine may try its candidates in any order; the
+    answer must be the one that full expansion gives."""
+    assert_order_independent(case[0])
+
+
+@pytest.mark.parametrize("variant", ["cram", "domineering"])
+@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 3), (2, 5), (3, 4)])
+def test_inner_order_leaves_grid_answers_alone(variant, rows, cols):
+    assert_order_independent(gen_grid(rows, cols, variant))

@@ -16,6 +16,7 @@ from cak import (
     gen_random,
     min_vertex_cover,
     nd_partition,
+    solve_vc,
     vc_canonical_key,
 )
 from cak.graph import induced_mask
@@ -285,3 +286,13 @@ def test_as_cover_normalizes_and_validates():
         as_cover(g, [0])
     with pytest.raises(ValueError):
         as_cover(g, [7])
+
+
+def test_as_cover_rejects_ids_that_are_not_ints():
+    p3 = build(3, [(0, 1, "g"), (1, 2, "g")])
+    for bad in (1.0, "1", None):
+        with pytest.raises(VertexError, match="is not an int") as info:
+            as_cover(p3, [bad])
+        assert info.value.ids == (bad,)
+        with pytest.raises(VertexError, match="is not an int"):
+            solve_vc(p3, Player.B, cover=[bad])

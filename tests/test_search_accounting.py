@@ -2,11 +2,15 @@
 
 The (node_expansions, memo_hits, distinct_keys) triples below were
 recorded with the driver that called itself on every child and looked
-the key up inside the call. Any change to how the driver visits
+the key up inside the call; the subset solve triples were recorded
+again when subset began to try, below the root, the edges that destroy
+the most opponent edges first. Any change to how the driver visits
 positions must reproduce them exactly: the search tree, the memo and
-the counts are part of what the CLI prints. The naive engine's node
-counts were recorded with its root loop written apart from its
-recursion, and pin the plain recursion tree the same way.
+the counts are part of what the CLI prints. Count mode evaluates every
+child, so its triples do not depend on the order of the candidates.
+The naive engine's node counts were recorded with its root loop
+written apart from its recursion, and pin the plain recursion tree the
+same way.
 """
 
 import pytest
@@ -33,10 +37,10 @@ def triple(stats):
 
 # (board, first player) -> (winner, winning move, solve triple, count triple)
 SUBSET = {
-    ("cram", 4, 5, "B"): ("B", (5, 10), (48141, 30604, 17537), (423583, 364753, 58830)),
-    ("cram", 4, 5, "W"): ("W", (5, 10), (48141, 30604, 17537), (423583, 364753, 58830)),
-    ("domineering", 4, 6, "B"): ("B", (8, 14), (52601, 24376, 28225), (1027041, 788322, 238719)),
-    ("domineering", 4, 6, "W"): ("W", (1, 2), (29957, 13576, 16381), (1077919, 828284, 249635)),
+    ("cram", 4, 5, "B"): ("B", (5, 10), (30671, 18541, 12130), (423583, 364753, 58830)),
+    ("cram", 4, 5, "W"): ("W", (5, 10), (30671, 18541, 12130), (423583, 364753, 58830)),
+    ("domineering", 4, 6, "B"): ("B", (8, 14), (9828, 3695, 6133), (1027041, 788322, 238719)),
+    ("domineering", 4, 6, "W"): ("W", (1, 2), (12472, 4762, 7710), (1077919, 828284, 249635)),
 }
 
 
