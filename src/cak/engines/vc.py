@@ -17,6 +17,14 @@ edge, so nothing is lost.
 Normalization: cover vertices that are isolated in the current position
 are dropped from the key, and so are non-cover vertices with an
 all-absent vector (both have no moves left and cannot influence play).
+
+The class partition depends only on the surviving cover C, and a search
+meets at most 2^|S| of them, far fewer than its positions. So the search
+keeps one class table per C, built the first time C is seen: every
+non-cover vertex of the start graph grouped toward C, as (class masks,
+member mask) rows sorted by masks. A position's classes are the rows
+with a member alive, and they come out of the table in key order, so a
+key is one walk over the rows with no grouping and no sort.
 """
 
 from __future__ import annotations
@@ -26,9 +34,12 @@ from typing import Iterable, Optional
 
 from ..graph import ColoredGraph, Player, bits, resolve_alive
 from ..params import as_cover, cover_classes, min_vertex_cover
-from .common import PLAYERS, Move, Outcome, SearchStats, playable_edges, search
+from .common import PLAYERS, Move, Outcome, SearchStats, search
 
-VcKey = tuple[int, tuple[tuple[tuple[int, int, int], int], ...], int]
+# (class masks, member mask) rows of a class table; (class masks, size)
+# pairs of a key.
+_ClassPairs = tuple[tuple[tuple[int, int, int], int], ...]
+VcKey = tuple[int, _ClassPairs, int]
 
 # Per side, the indices of its (gray, own color) masks in a class's
 # (gray, black, white) masks.
@@ -40,28 +51,55 @@ class _CoverSearch:
         cover_set = min_vertex_cover(g).vertices if cover is None else as_cover(g, cover)
         self.g = g
         self.cover_mask = sum(1 << v for v in cover_set)
+        self.noncover = g.alive & ~self.cover_mask
         self.nbr = g.neighbor_masks()
-        # Per side, the cover-internal edges it may play.
+        # Per side, the cover-internal edges it may play; the cheap cover
+        # test runs first and keeps few edges.
+        cm = self.cover_mask
+        inner = [(u, v, c) for u, v, c in g.edges if cm >> u & cm >> v & 1]
         self.internal = tuple(
-            tuple(m for m in playable_edges(g, p) if not m[2] & ~self.cover_mask) for p in PLAYERS
+            tuple((u, v, 1 << u | 1 << v) for u, v, c in inner if p.can_play(c)) for p in PLAYERS
+        )
+        # Per alive cover mask, its class table (see table).
+        self.tables: dict[int, _ClassPairs] = {}
+
+    def table(self, alive_cover: int) -> _ClassPairs:
+        """The cover classes of every non-cover vertex toward alive_cover,
+        as (class masks, member mask) rows sorted by masks, without the
+        all-absent class."""
+        classes = cover_classes(self.g, self.noncover, alive_cover)
+        classes.pop((0, 0, 0), None)
+        return tuple(
+            sorted((masks, sum(1 << v for v in members)) for masks, members in classes.items())
         )
 
     def key(self, mask: int, side: int):
-        """Also keeps the classes in self.layout for candidates: search
-        calls candidates on the same position before the next key call.
-        The side stays in the key: isolated vertices are dropped from
-        it, so the key does not fix how many vertices are alive."""
+        """Walks the alive cover mask's table once: each row with an alive
+        member gives a (class masks, size) pair of the key, and its alive
+        members go to self.layout for candidates (search calls
+        candidates on the same position before the next key call). The
+        side stays in the key: isolated vertices are dropped from it, so
+        the key does not fix how many vertices are alive."""
         alive_cover = sum(1 << s for s in bits(mask & self.cover_mask) if self.nbr[s] & mask)
-        self.layout = layout = cover_classes(self.g, mask & ~self.cover_mask, alive_cover)
-        layout.pop((0, 0, 0), None)
-        counts = tuple(sorted((masks, len(members)) for masks, members in layout.items()))
-        return (alive_cover, counts, side)
+        rows = self.tables.get(alive_cover)
+        if rows is None:
+            rows = self.tables[alive_cover] = self.table(alive_cover)
+        counts = []
+        self.layout = layout = []
+        for masks, members in rows:
+            alive = members & mask
+            if alive:
+                counts.append((masks, alive.bit_count()))
+                layout.append((masks, alive))
+        return (alive_cover, tuple(counts), side)
 
     def candidates(self, mask: int, side: int, key) -> list[Move]:
+        """The cover-internal moves, plus per class the edges of its
+        representative: the lowest alive member."""
         moves = [m for m in self.internal[side] if mask & m[2] == m[2]]
         gray, own = _OWN_MASKS[side]
-        for masks, members in self.layout.items():
-            rep = members[0]
+        for masks, members in self.layout:
+            rep = (members & -members).bit_length() - 1
             for u in bits(masks[gray] | masks[own]):
                 moves.append((min(u, rep), max(u, rep), 1 << u | 1 << rep))
         return sorted(moves)

@@ -44,10 +44,12 @@ def test_empty_graph():
 
 
 def test_capacity_guard():
-    path = build(33, [(i, i + 1, "g") for i in range(32)])
+    # 33 vertices, one gray edge: B plays it and W has no move left.
+    g = build(33, [(0, 1, "g")])
     with pytest.raises(CapacityError):
-        solve_subset(path, Player.B)
-    assert solve_subset(path, Player.B, max_n=40).winner is Player.B
+        solve_subset(g, Player.B)
+    out = solve_subset(g, Player.B, max_n=40)
+    assert (out.winner, out.winning_move) == (Player.B, (0, 1))
 
 
 def test_single_edge_key_count():

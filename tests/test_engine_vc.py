@@ -16,6 +16,7 @@ from cak import (
     solve_vc,
     vc_canonical_key,
 )
+from cak.engines.vc import _CoverSearch
 
 from _oracles import build, random_lettered_edges, representative_edges
 
@@ -186,6 +187,39 @@ def test_restricted_moves_reach_every_child_key():
                 if (u in cover and v in cover) or (u, v) in rep:
                     restricted.add(child)
             assert restricted == full
+
+
+def test_one_search_object_keys_every_position_like_a_fresh_one():
+    """The per-cover class tables a search keeps must not leak between
+    positions: one _CoverSearch reused over every reachable position
+    gives the key of a fresh vc_canonical_key and of an oracle built
+    from equivalence_classes, and the candidates of a fresh object."""
+    rng = random.Random(1313)
+    for case in range(30):
+        n = rng.randrange(2, 11)
+        g = build(n, random_lettered_edges(rng, n, rng.choice([0.3, 0.5])))
+        minimum = set(min_vertex_cover(g).vertices)
+        larger = minimum | set(rng.sample(range(n), rng.randrange(1, n)))
+        for cover in (minimum, larger):
+            cs = _CoverSearch(g, cover)
+            positions = sorted(
+                reachable_positions(g, Player.B) | reachable_positions(g, Player.W),
+                key=lambda p: (-p[0].bit_count(), p[0], p[1] is Player.W),
+            )
+            for mask, player in positions:
+                side = 0 if player is Player.B else 1
+                key = cs.key(mask, side)
+                assert key == vc_canonical_key(g, mask, cover, player)
+                live_cover = 0
+                for u, v, _ in g.edges:
+                    if mask >> u & 1 and mask >> v & 1:
+                        live_cover |= (u in cover) << u | (v in cover) << v
+                classes = equivalence_classes(g, mask, cover)
+                pairs = sorted((k, len(m)) for k, m in classes.items() if any(k))
+                assert key == (live_cover, tuple(pairs), side)
+                fresh = _CoverSearch(g, cover)
+                want = fresh.candidates(mask, side, fresh.key(mask, side))
+                assert cs.candidates(mask, side, key) == want
 
 
 def test_count_mode_disables_short_circuit():
