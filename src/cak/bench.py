@@ -42,7 +42,8 @@ from itertools import product
 from typing import Optional
 
 from .engines import ENGINE_NAMES, select_engine
-from .engines import pick_auto_engine  # noqa: F401  (stays importable from here)
+# perfbench/spans.py traces cak.bench.pick_auto_engine by this name.
+from .engines import pick_auto_engine  # noqa: F401
 from .generators import GENERATORS, lower_nd_clique_vertices
 from .graph import ColoredGraph, Player
 from .params import min_vertex_cover, nd_partition

@@ -13,7 +13,7 @@ only in their memo key and candidate moves.
 from inspect import signature
 from typing import Callable, Iterable
 
-from ..graph import ColoredGraph, Player
+from ..graph import ColoredGraph
 from ..params import cover_at_most
 from .common import CapacityError, Outcome, SearchStats
 from .naive import grundy_naive, solve_naive
@@ -50,7 +50,7 @@ ENGINE_NAMES = (*SOLVERS, "auto")
 def pick_auto_engine(g: ColoredGraph, vc_threshold: int = 8) -> str:
     """tree for gray forests, vc for small covers, subset otherwise."""
     try:
-        check_gray_forest(g, g.alive)
+        check_gray_forest(g)
     except ValueError:
         pass
     else:

@@ -86,10 +86,7 @@ def search(
     within one search the number of alive vertices fixes the side to
     move; a key may leave the side out only when it fixes that number.
     moves(mask, side, k) lists the candidate moves of a position whose
-    key k missed the memo. The search calls moves on a position right
-    after its key, with no other key call in between, and takes the
-    whole list before it computes a child's key, so an engine may hand
-    state from key to moves. A candidate whose endpoints are not both
+    key k missed the memo. A candidate whose endpoints are not both
     alive is skipped.
 
     The root tries its candidates in sorted order, so the first losing

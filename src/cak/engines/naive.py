@@ -11,7 +11,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Optional
 
-from ..graph import Color, ColoredGraph, Player, resolve_alive
+from ..graph import Color, ColoredGraph, Player
 from .common import (
     Outcome,
     SearchStats,
@@ -22,9 +22,8 @@ from .common import (
 )
 
 
-def solve_naive(g: ColoredGraph, turn: Player, alive: Optional[int] = None) -> Outcome:
+def solve_naive(g: ColoredGraph, turn: Player) -> Outcome:
     t0 = perf_counter()
-    mask0 = resolve_alive(g, alive)
     edges = {p: playable_edges(g, p) for p in Player}
     stats = SearchStats()
 
@@ -38,23 +37,21 @@ def solve_naive(g: ColoredGraph, turn: Player, alive: Optional[int] = None) -> O
         return None
 
     with recursion_capacity():
-        move = first_win(mask0, turn)
+        move = first_win(g.alive, turn)
     stats.elapsed = perf_counter() - t0
     winner = turn if move is not None else turn.opponent
     return Outcome(winner, move, stats)
 
 
-def grundy_naive(g: ColoredGraph, alive: Optional[int] = None) -> int:
+def grundy_naive(g: ColoredGraph) -> int:
     """Sprague-Grundy value of an all-gray position, by direct recursion.
 
     Components are independent summands, so the value of a position is
     the XOR of its components' values and a single component's value is
     the mex over its moves. No memoization.
     """
-    mask0 = resolve_alive(g, alive)
-    for u, v, c in g.edges:
-        if mask0 >> u & 1 and mask0 >> v & 1 and c is not Color.GRAY:
-            raise ValueError("grundy values need an all-gray (impartial) position")
+    if any(c is not Color.GRAY for _, _, c in g.edges):
+        raise ValueError("grundy values need an all-gray (impartial) position")
     nbr = g.neighbor_masks()
     edges = tuple((1 << u | 1 << v) for u, v, _ in g.edges)
 
@@ -75,4 +72,4 @@ def grundy_naive(g: ColoredGraph, alive: Optional[int] = None) -> int:
         return mex(child_values)
 
     with recursion_capacity():
-        return value(mask0)
+        return value(g.alive)

@@ -20,22 +20,17 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Iterable, Optional, Sequence
 
-from ..graph import Color, ColoredGraph, Player, resolve_alive
+from ..graph import Color, ColoredGraph, Player
 from .common import Outcome, SearchStats, mex, recursion_capacity, split_components
 
 
-def check_gray_forest(g: ColoredGraph, mask: int) -> None:
-    """Raise ValueError unless the position on mask is an all-gray forest:
-    a graph is acyclic iff its edges number its vertices minus its
-    components."""
-    edges = 0
-    for u, v, c in g.edges:
-        if mask >> u & 1 and mask >> v & 1:
-            if c is not Color.GRAY:
-                raise ValueError("tree engine needs an all-gray position")
-            edges += 1
-    comps = split_components(mask, g.neighbor_masks())
-    if edges != sum(comp.bit_count() - 1 for comp in comps):
+def check_gray_forest(g: ColoredGraph) -> None:
+    """Raise ValueError unless g is an all-gray forest: a graph is
+    acyclic iff its edges number its vertices minus its components."""
+    if any(c is not Color.GRAY for _, _, c in g.edges):
+        raise ValueError("tree engine needs an all-gray position")
+    comps = split_components(g.alive, g.neighbor_masks())
+    if g.m != sum(comp.bit_count() - 1 for comp in comps):
         raise ValueError("not a forest: alive subgraph contains a cycle")
 
 
@@ -103,17 +98,17 @@ def tree_component_code(g: ColoredGraph, comp: int) -> str:
 
 
 def _forest_search(
-    g: ColoredGraph, alive: Optional[int], solve: bool
+    g: ColoredGraph, solve: bool
 ) -> tuple[int, Optional[tuple[int, int]], SearchStats]:
-    """Value of the forest on alive and, with solve and a nonzero value,
+    """Value of the forest position g and, with solve and a nonzero value,
     the smallest edge to a child of value zero. Each component is probed
     by vertex set, then by canonical code, and its moves are expanded
     only when both miss. A move nests exactly two calls (forest, then
     children): a comprehension there would add a frame on the Pythons
     that do not inline it."""
     t0 = perf_counter()
-    mask = resolve_alive(g, alive)
-    check_gray_forest(g, mask)
+    check_gray_forest(g)
+    mask = g.alive
     nbr = g.neighbor_masks()
     edge_masks = tuple(1 << u | 1 << v for u, v, _ in g.edges)
     by_mask: dict[int, int] = {}  # component mask -> value
@@ -157,16 +152,16 @@ def _forest_search(
     return value, move, SearchStats(nodes, nodes - keys, keys, perf_counter() - t0)
 
 
-def grundy_tree(g: ColoredGraph, alive: Optional[int] = None) -> int:
+def grundy_tree(g: ColoredGraph) -> int:
     """Sprague-Grundy value of an all-gray forest position."""
-    return _forest_search(g, alive, solve=False)[0]
+    return _forest_search(g, solve=False)[0]
 
 
-def solve_tree(g: ColoredGraph, turn: Player, alive: Optional[int] = None) -> Outcome:
+def solve_tree(g: ColoredGraph, turn: Player) -> Outcome:
     """Winner by Grundy value: the mover wins iff the value is nonzero,
     and then the smallest edge whose child position has value zero is a
     winning move."""
-    value, move, stats = _forest_search(g, alive, solve=True)
+    value, move, stats = _forest_search(g, solve=True)
     return Outcome(turn if value else turn.opponent, move, stats)
 
 

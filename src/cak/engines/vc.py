@@ -75,33 +75,30 @@ class _CoverSearch:
 
     def key(self, mask: int, side: int):
         """Walks the alive cover mask's table once: each row with an alive
-        member gives a (class masks, size) pair of the key, and its alive
-        members go to self.layout for candidates (search calls
-        candidates on the same position before the next key call). The
-        side stays in the key: isolated vertices are dropped from it, so
-        the key does not fix how many vertices are alive."""
+        member gives a (class masks, size) pair of the key. The side
+        stays in the key: isolated vertices are dropped from it, so the
+        key does not fix how many vertices are alive."""
         alive_cover = sum(1 << s for s in bits(mask & self.cover_mask) if self.nbr[s] & mask)
         rows = self.tables.get(alive_cover)
         if rows is None:
             rows = self.tables[alive_cover] = self.table(alive_cover)
-        counts = []
-        self.layout = layout = []
-        for masks, members in rows:
-            alive = members & mask
-            if alive:
-                counts.append((masks, alive.bit_count()))
-                layout.append((masks, alive))
+        counts = [
+            (masks, alive.bit_count()) for masks, members in rows if (alive := members & mask)
+        ]
         return (alive_cover, tuple(counts), side)
 
     def candidates(self, mask: int, side: int, key) -> list[Move]:
-        """The cover-internal moves, plus per class the edges of its
-        representative: the lowest alive member."""
+        """The cover-internal moves, plus per class of the key's alive
+        cover mask the edges of its representative: the lowest alive
+        member."""
         moves = [m for m in self.internal[side] if mask & m[2] == m[2]]
         gray, own = _OWN_MASKS[side]
-        for masks, members in self.layout:
-            rep = (members & -members).bit_length() - 1
-            for u in bits(masks[gray] | masks[own]):
-                moves.append((min(u, rep), max(u, rep), 1 << u | 1 << rep))
+        for masks, members in self.tables[key[0]]:
+            alive = members & mask
+            if alive:
+                rep = (alive & -alive).bit_length() - 1
+                for u in bits(masks[gray] | masks[own]):
+                    moves.append((min(u, rep), max(u, rep), 1 << u | 1 << rep))
         return sorted(moves)
 
 

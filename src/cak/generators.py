@@ -8,20 +8,12 @@ of the cover-keyed and module-keyed engines.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from .graph import (  # noqa: F401  (DEFAULT_VERTEX_BUDGET re-exported)
-    DEFAULT_VERTEX_BUDGET,
-    VERTEX_BUDGET_ENV,
-    Color,
-    ColoredGraph,
-    vertex_budget,
-)
+from .graph import VERTEX_BUDGET_ENV, Color, ColoredGraph, vertex_budget
 
 
-def _check_budget(what: str, n: int, budget: Optional[int] = None) -> None:
+def _check_budget(what: str, n: int) -> None:
     """Refuse to build an instance of n vertices over vertex_budget()."""
-    limit = vertex_budget(budget)
+    limit = vertex_budget()
     if n > limit:
         raise ValueError(
             f"{what} needs n={n} vertices, over the budget of {limit}"
@@ -98,7 +90,7 @@ def gen_caterpillar_kayles(pins: int) -> ColoredGraph:
     return ColoredGraph(2 * pins, tuple(edges))
 
 
-def gen_lower_vc(k: int, budget: Optional[int] = None) -> ColoredGraph:
+def gen_lower_vc(k: int) -> ColoredGraph:
     """Hard family for cover-keyed search, parameterized by cover size k.
 
     Layout (k = 2 or a multiple of 4):
@@ -116,15 +108,14 @@ def gen_lower_vc(k: int, budget: Optional[int] = None) -> ColoredGraph:
     must visit at least 2^(k^2/2) recursion nodes.
 
     n = k + 4^{k/2} * k/2 grows fast; generation refuses instances whose
-    vertex count exceeds `budget` (default from $CAK_MAX_VERTICES, else
-    5000).
+    vertex count exceeds vertex_budget() ($CAK_MAX_VERTICES, else 5000).
     """
     if not (k == 2 or (k >= 4 and k % 4 == 0)):
         raise ValueError(f"k must be 2 or a multiple of 4, got {k}")
     half = k // 2
     patterns = 4 ** half
     n = k + patterns * half
-    _check_budget(f"lower-vc k={k}", n, budget)
+    _check_budget(f"lower-vc k={k}", n)
     black_slots = max(1, k // 4)
     digit_color = {1: Color.GRAY, 2: Color.BLACK, 3: Color.WHITE}
     edges = []
@@ -143,7 +134,7 @@ def gen_lower_vc(k: int, budget: Optional[int] = None) -> ColoredGraph:
     return ColoredGraph(n, tuple(edges))
 
 
-def gen_lower_nd(k: int, s: int, budget: Optional[int] = None) -> ColoredGraph:
+def gen_lower_nd(k: int, s: int) -> ColoredGraph:
     """Hard family for module-keyed search: k cliques of s vertices that
     together form one big clique, distinguished by attachment vertices.
 
@@ -165,7 +156,7 @@ def gen_lower_nd(k: int, s: int, budget: Optional[int] = None) -> ColoredGraph:
         raise ValueError("s must be >= 1")
     ell = (k + 1).bit_length() - 1
     n = s * k + ell * (ell + 1) // 2
-    _check_budget(f"lower-nd k={k} s={s}", n, budget)
+    _check_budget(f"lower-nd k={k} s={s}", n)
     clique = list(range(s * k))
     edges = [(a, b, Color.GRAY) for i, a in enumerate(clique) for b in clique[i + 1 :]]
     pendant = s * k + ell

@@ -15,18 +15,16 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 
 DEFAULT_VERTEX_BUDGET = 5000
 VERTEX_BUDGET_ENV = "CAK_MAX_VERTICES"
 
 
-def vertex_budget(budget: Optional[int] = None) -> int:
-    """Largest vertex count a file or generator may ask for: `budget`
-    when given, else $CAK_MAX_VERTICES, else DEFAULT_VERTEX_BUDGET."""
-    if budget is not None:
-        return budget
+def vertex_budget() -> int:
+    """Largest vertex count a file or generator may ask for:
+    $CAK_MAX_VERTICES when set, else DEFAULT_VERTEX_BUDGET."""
     env = os.environ.get(VERTEX_BUDGET_ENV)
     if env is not None:
         try:
@@ -176,14 +174,6 @@ class ColoredGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
-    @property
-    def alive_count(self) -> int:
-        return bin(self.alive).count("1")
-
     def alive_vertices(self) -> list[int]:
         return [v for v in range(self.n) if self.alive >> v & 1]
 
@@ -205,12 +195,6 @@ class ColoredGraph:
 
     def colors_present(self) -> set[Color]:
         return {c for _, _, c in self.edges}
-
-    def is_all_gray(self) -> bool:
-        return all(c is Color.GRAY for _, _, c in self.edges)
-
-    def playable_edges(self, player: Player) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if player.can_play(e[2]))
 
 
 def parse_graph(text: Union[str, bytes]) -> ColoredGraph:

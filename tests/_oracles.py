@@ -265,15 +265,15 @@ def forest_oracle(lettered_edges, alive):
     return None
 
 
-def twin_classes_oracle(lettered_edges, alive, ignore_colors=False):
+def twin_classes_oracle(lettered_edges, alive):
     """Twin classes of the vertex set `alive` by the pairwise test: u and
     v are twins when every third alive vertex is joined to both by the
-    same letter, or to neither (with ignore_colors: to both or to
-    neither). Classes are sorted tuples, ordered by smallest member."""
+    same letter, or to neither. Classes are sorted tuples, ordered by
+    smallest member."""
     letter = {}
     for u, v, c in lettered_edges:
         if u in alive and v in alive:
-            letter[u, v] = letter[v, u] = "g" if ignore_colors else c
+            letter[u, v] = letter[v, u] = c
 
     def twins(u, v):
         return all(letter.get((u, w)) == letter.get((v, w)) for w in alive if w not in (u, v))

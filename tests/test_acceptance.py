@@ -13,6 +13,7 @@ import random
 import time
 
 from cak import (
+    Color,
     Player,
     count_ak_subtrees,
     count_nd_positions,
@@ -77,7 +78,7 @@ def gray(n, pairs):
 
 
 def is_gray_forest(g):
-    if not g.is_all_gray():
+    if g.colors_present() - {Color.GRAY}:
         return False
     parent = list(range(g.n))
 

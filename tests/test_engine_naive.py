@@ -5,6 +5,8 @@ import random
 import pytest
 
 from cak import CapacityError, ColoredGraph, Player, gen_grid, grundy_naive, solve_naive
+from cak.engines.common import playable_edges
+from cak.graph import induced_mask, remove_closed_edge
 
 from _oracles import build, grundy_oracle, random_lettered_edges, win_oracle
 
@@ -55,24 +57,22 @@ def test_winning_move_contract():
             continue
         u, v = out.winning_move
         assert turn.can_play(g.color_of(u, v))
-        child_alive = g.alive & ~(1 << u | 1 << v)
-        assert solve_naive(g, turn.opponent, child_alive).winner is turn
+        assert solve_naive(remove_closed_edge(g, (u, v)), turn.opponent).winner is turn
         # reported move is the lexicographically smallest winning edge
         winning = [
             (a, b)
-            for a, b, _ in g.playable_edges(turn)
-            if solve_naive(g, turn.opponent, g.alive & ~(1 << a | 1 << b)).winner
-            is turn
+            for a, b, _ in playable_edges(g, turn)
+            if solve_naive(remove_closed_edge(g, (a, b)), turn.opponent).winner is turn
         ]
         assert out.winning_move == min(winning)
 
 
 def test_alive_mask_argument():
     p4 = build(4, [(0, 1, "g"), (1, 2, "g"), (2, 3, "g")])
-    out = solve_naive(p4, Player.B, alive=0b0011)  # just the first edge
+    out = solve_naive(induced_mask(p4, 0b0011), Player.B)  # just the first edge
     assert out.winner is Player.B
     with pytest.raises(ValueError):
-        solve_naive(p4, Player.B, alive=0b10000)
+        induced_mask(p4, 0b10000)
 
 
 def test_grundy_known_values():
@@ -89,7 +89,7 @@ def test_grundy_rejects_partisan_input():
     with pytest.raises(ValueError):
         grundy_naive(g)
     # dead colored edge is fine: only the alive part must be gray
-    assert grundy_naive(g, alive=0b011) == 1
+    assert grundy_naive(induced_mask(g, 0b011)) == 1
 
 
 def test_grundy_matches_oracle():

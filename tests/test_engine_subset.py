@@ -14,6 +14,7 @@ from cak import (
     gen_grid,
     gen_lower_nd,
     gen_lower_vc,
+    remove_closed_edge,
     solve_naive,
     solve_nd,
     solve_subset,
@@ -83,8 +84,8 @@ def test_winning_move_contract():
             if out.winner is turn:
                 u, v = out.winning_move
                 assert turn.can_play(g.color_of(u, v))
-                child = g.alive & ~(1 << u | 1 << v)
-                assert solve_naive(g, turn.opponent, child).winner is turn
+                child = remove_closed_edge(g, (u, v))
+                assert solve_naive(child, turn.opponent).winner is turn
             else:
                 assert out.winning_move is None
 

@@ -14,11 +14,13 @@ from cak import (
     gen_grid,
     grundy_naive,
     grundy_tree,
+    remove_closed_edge,
     solve_subset,
     solve_tree,
 )
 from cak.engines.common import split_components
 from cak.engines.tree import check_gray_forest, tree_component_code
+from cak.graph import induced_mask
 
 from _oracles import (
     ak_count_oracle,
@@ -72,7 +74,7 @@ def test_matches_naive_grundy_on_forests():
 
 def test_alive_mask_restriction():
     c4 = gen_grid(2, 2)  # cycle as a graph, acyclic once one vertex dies
-    assert grundy_tree(c4, alive=0b0111) == 1
+    assert grundy_tree(induced_mask(c4, 0b0111)) == 1
     with pytest.raises(ValueError):
         grundy_tree(c4)
 
@@ -99,13 +101,13 @@ def test_check_gray_forest_matches_union_find_oracle(case):
     g = build(n, lettered)
     verdict = forest_oracle(lettered, {v for v in range(n) if mask >> v & 1})
     if verdict is None:
-        check_gray_forest(g, mask)
+        check_gray_forest(induced_mask(g, mask))
     elif verdict == "color":
         with pytest.raises(ValueError, match="needs an all-gray position"):
-            check_gray_forest(g, mask)
+            check_gray_forest(induced_mask(g, mask))
     else:
         with pytest.raises(ValueError, match="contains a cycle"):
-            check_gray_forest(g, mask)
+            check_gray_forest(induced_mask(g, mask))
 
 
 def test_rejects_non_gray_edges():
@@ -132,8 +134,7 @@ def test_solver_move_contract():
         out = solve_tree(g, Player.B)
         if out.winner is Player.B:
             u, v = out.winning_move
-            child = g.alive & ~(1 << u | 1 << v)
-            assert grundy_tree(g, child) == 0
+            assert grundy_tree(remove_closed_edge(g, (u, v))) == 0
         else:
             assert out.winning_move is None
             assert grundy_tree(g) == 0
@@ -154,7 +155,7 @@ def test_canonical_codes_count_unlabeled_trees():
         codes = set()
         for pairs in prufer_trees(n):
             g = gray_tree(pairs, n)
-            codes.add(tree_component_code(g, g.full_mask))
+            codes.add(tree_component_code(g, g.alive))
         assert len(codes) == want, n
 
 
@@ -162,7 +163,7 @@ def test_canonical_codes_match_isomorphism():
     by_code = {}
     for pairs in prufer_trees(6):
         g = gray_tree(pairs, 6)
-        by_code.setdefault(tree_component_code(g, g.full_mask), []).append(pairs)
+        by_code.setdefault(tree_component_code(g, g.alive), []).append(pairs)
     groups = sorted(by_code.values(), key=len)
     same = groups[-1]
     assert trees_isomorphic(6, same[0], same[-1])
@@ -181,7 +182,7 @@ def test_canonical_codes_match_recursive_oracle():
         n = rng.randrange(1, 41)
         pairs = relabeled(rng, n, random_tree_pairs(rng, n))
         g = gray_tree(pairs, n)
-        assert tree_component_code(g, g.full_mask) == tree_code_oracle(n, pairs)
+        assert tree_component_code(g, g.alive) == tree_code_oracle(n, pairs)
     # two centroids: two trees of equal size joined by one edge
     for _ in range(40):
         half = rng.randrange(1, 21)
@@ -190,7 +191,7 @@ def test_canonical_codes_match_recursive_oracle():
         bridge = (rng.randrange(half), half + rng.randrange(half))
         pairs = relabeled(rng, 2 * half, left + right + [bridge])
         g = gray_tree(pairs, 2 * half)
-        assert tree_component_code(g, g.full_mask) == tree_code_oracle(2 * half, pairs)
+        assert tree_component_code(g, g.alive) == tree_code_oracle(2 * half, pairs)
 
 
 def test_canonical_code_of_one_component_ignores_the_rest():
@@ -210,7 +211,7 @@ def test_canonical_code_of_a_long_path_needs_no_recursion():
         return "(" * k + ")" * k
 
     g = gray_path(3000)  # centroids 1499 and 1500, branches of 1500 and 1499
-    assert tree_component_code(g, g.full_mask) == "(" + chain(1500) + chain(1499) + ")"
+    assert tree_component_code(g, g.alive) == "(" + chain(1500) + chain(1499) + ")"
 
 
 @pytest.mark.parametrize(
@@ -241,7 +242,7 @@ def test_exact_search_stats(g, turn, stats, move):
 @pytest.mark.parametrize("turn", list(Player), ids=lambda p: p.value)
 def test_exact_search_stats_under_an_alive_mask(turn):
     g = gray_path(30)
-    out = solve_tree(g, turn, alive=g.alive & ~(1 << 10))  # paths of 10 and 19
+    out = solve_tree(induced_mask(g, g.alive & ~(1 << 10)), turn)  # paths of 10 and 19
     s = out.stats
     assert (s.node_expansions, s.memo_hits, s.distinct_keys) == (244, 227, 17)
     assert out.winner is turn.opponent

@@ -17,6 +17,7 @@ from cak import (
     vc_canonical_key,
 )
 from cak.engines.vc import _CoverSearch
+from cak.graph import induced_mask
 
 from _oracles import build, random_lettered_edges, representative_edges
 
@@ -173,7 +174,7 @@ def test_restricted_moves_reach_every_child_key():
         cover = min_vertex_cover(g).vertices
         for mask, player in reachable_positions(g, Player.B):
             full, restricted = set(), set()
-            classes = equivalence_classes(g, mask, cover)
+            classes = equivalence_classes(induced_mask(g, mask), cover)
             # the mask grouping is the vector grouping of the reference
             _, layout = vc_layout(g, cover, mask)
             assert sorted(m for k, m in classes.items() if any(k)) == sorted(layout.values())
@@ -214,7 +215,7 @@ def test_one_search_object_keys_every_position_like_a_fresh_one():
                 for u, v, _ in g.edges:
                     if mask >> u & 1 and mask >> v & 1:
                         live_cover |= (u in cover) << u | (v in cover) << v
-                classes = equivalence_classes(g, mask, cover)
+                classes = equivalence_classes(induced_mask(g, mask), cover)
                 pairs = sorted((k, len(m)) for k, m in classes.items() if any(k))
                 assert key == (live_cover, tuple(pairs), side)
                 fresh = _CoverSearch(g, cover)

@@ -37,7 +37,7 @@ def positions(draw):
 def test_engines_agree_on_winner_and_move(case):
     g, cover = case
     try:
-        check_gray_forest(g, g.alive)
+        check_gray_forest(g)
         tree = True
     except ValueError:
         tree = False

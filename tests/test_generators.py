@@ -11,12 +11,8 @@ from cak import (
     gen_random,
     nd_partition,
 )
-from cak.generators import (
-    DEFAULT_VERTEX_BUDGET,
-    VERTEX_BUDGET_ENV,
-    SplitMix64,
-    lower_nd_clique_vertices,
-)
+from cak.generators import VERTEX_BUDGET_ENV, SplitMix64, lower_nd_clique_vertices
+from cak.graph import DEFAULT_VERTEX_BUDGET
 
 
 def test_splitmix_is_deterministic():
@@ -30,7 +26,7 @@ def test_grid_cram_2x2_is_c4():
     g = gen_grid(2, 2, "cram")
     assert g.n == 4
     assert g.m == 4
-    assert g.is_all_gray()
+    assert g.colors_present() == {Color.GRAY}
 
 
 def test_grid_domineering_2x3():
@@ -69,7 +65,7 @@ def test_caterpillar_structure():
     spine = {(0, 1), (1, 2)}
     legs = {(0, 3), (1, 4), (2, 5)}
     assert {(u, v) for u, v, _ in g.edges} == spine | legs
-    assert g.is_all_gray()
+    assert g.colors_present() == {Color.GRAY}
     with pytest.raises(ValueError):
         gen_caterpillar_kayles(0)
 
@@ -119,8 +115,9 @@ def test_lower_vc_rejects_bad_k():
 
 
 def test_lower_vc_budget(monkeypatch):
+    monkeypatch.setenv(VERTEX_BUDGET_ENV, "100")
     with pytest.raises(ValueError) as err:
-        gen_lower_vc(8, budget=100)  # needs 8 + 256*4 = 1032 vertices
+        gen_lower_vc(8)  # needs 8 + 256*4 = 1032 vertices
     assert "budget" in str(err.value)
     monkeypatch.setenv(VERTEX_BUDGET_ENV, "10")
     gen_lower_vc(2)  # n=6 still fits
@@ -137,7 +134,7 @@ def test_lower_vc_budget(monkeypatch):
 def test_lower_nd_3_2_layout():
     g = gen_lower_nd(3, 2)
     assert g.n == 9  # 6 + 2*3/2
-    assert g.is_all_gray()
+    assert g.colors_present() == {Color.GRAY}
     clique = lower_nd_clique_vertices(3, 2)
     assert clique == frozenset(range(6))
     for u in clique:
@@ -171,21 +168,22 @@ def test_lower_nd_smallest_case():
     }
 
 
-def test_lower_nd_rejects_bad_params():
+def test_lower_nd_rejects_bad_params(monkeypatch):
     for k in (0, 2, 4, 5):
         with pytest.raises(ValueError):
             gen_lower_nd(k, 2)
     with pytest.raises(ValueError):
         gen_lower_nd(3, 0)
+    monkeypatch.setenv(VERTEX_BUDGET_ENV, "500")
     with pytest.raises(ValueError):
-        gen_lower_nd(7, 2000, budget=500)
+        gen_lower_nd(7, 2000)
 
 
 def test_random_extremes():
     assert gen_random(5, 0.0).m == 0
     k4 = gen_random(4, 1.0, (1, 0, 0))
     assert k4.m == 6
-    assert k4.is_all_gray()
+    assert k4.colors_present() == {Color.GRAY}
     allwhite = gen_random(4, 1.0, (0, 0, 1), seed=3)
     assert {c for _, _, c in allwhite.edges} == {Color.WHITE}
 

@@ -130,13 +130,12 @@ def graphs_with_alive_sets(draw):
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(graphs_with_alive_sets(), st.booleans())
-def test_nd_partition_matches_pairwise_oracle(case, ignore_colors):
+@given(graphs_with_alive_sets())
+def test_nd_partition_matches_pairwise_oracle(case):
     n, lettered, alive = case
     inside = [(u, v, c) for u, v, c in lettered if u in alive and v in alive]
     g = build(n, inside, alive=sum(1 << v for v in alive))
-    expected = twin_classes_oracle(lettered, alive, ignore_colors)
-    assert nd_partition(g, ignore_colors).modules == expected
+    assert nd_partition(g).modules == twin_classes_oracle(lettered, alive)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -153,7 +152,6 @@ def test_nd_partition_k3():
     k3 = build(3, [(0, 1, "g"), (0, 2, "g"), (1, 2, "g")])
     part = nd_partition(k3)
     assert part.modules == ((0, 1, 2),)
-    assert part.kind == "colored-twin"
 
 
 def test_nd_partition_p3():
@@ -165,14 +163,11 @@ def test_nd_partition_respects_colors():
     # mixed-color triangle: no two vertices agree toward the third
     k3 = build(3, [(0, 1, "g"), (0, 2, "b"), (1, 2, "w")])
     assert nd_partition(k3).count == 3
-    assert nd_partition(k3, ignore_colors=True).count == 1
-    assert nd_partition(k3, ignore_colors=True).kind == "twin"
 
 
 def test_nd_partition_star_by_leaf_color():
     star = build(5, [(0, 1, "g"), (0, 2, "g"), (0, 3, "b"), (0, 4, "b")])
     assert nd_partition(star).modules == ((0,), (1, 2), (3, 4))
-    assert nd_partition(star, ignore_colors=True).modules == ((0,), (1, 2, 3, 4))
 
 
 def test_nd_partition_isolated_and_empty():
@@ -233,16 +228,14 @@ def test_equivalence_classes_lower_vc_2():
 
 def test_equivalence_classes_respect_alive_mask():
     star = build(4, [(0, 1, "g"), (0, 2, "g"), (0, 3, "g")])
-    classes = equivalence_classes(star, alive=0b0101, cover={0})
+    classes = equivalence_classes(induced_mask(star, 0b0101), cover={0})
     assert classes == {(0b1, 0, 0): [2]}
     with pytest.raises(ValueError):
-        equivalence_classes(star, alive=0b11111)
+        induced_mask(star, 0b11111)
 
 
 def test_alive_masks_that_are_not_ints_are_value_errors():
     star = build(4, [(0, 1, "g"), (0, 2, "g"), (0, 3, "g")])
-    with pytest.raises(ValueError):
-        equivalence_classes(star, alive=1.5)
     with pytest.raises(ValueError):
         vc_canonical_key(star, "x", {0}, Player.B)
     with pytest.raises(ValueError):
@@ -263,7 +256,7 @@ def test_equivalence_classes_check_a_given_cover_like_the_engine():
         with pytest.raises(VertexError, match="out of range"):
             vc_canonical_key(p3, None, cover, Player.B)
     # only the edges between alive vertices need covering
-    assert equivalence_classes(p3, alive=0b011, cover={0}) == {(0b1, 0, 0): [1]}
+    assert equivalence_classes(induced_mask(p3, 0b011), cover={0}) == {(0b1, 0, 0): [1]}
 
 
 def test_representative_edges_examples():
