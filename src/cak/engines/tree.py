@@ -7,6 +7,9 @@ centroid; Aho, Hopcroft & Ullman 1974), so a vertex set is coded once
 and isomorphic subtrees arising anywhere in the search share one
 evaluation. The code comes from one BFS: the centroid is read off the
 subtree sizes, and only the chain of vertices above it is re-rooted.
+Only the root position (and, when solving, its children) is split into
+components; the components a move leaves are read off the subtree
+masks of one rooted BFS of the component it is played in.
 
 Also counts, for a rooted tree, how many non-isomorphic rooted subtrees
 survive at the root under play-like removals: matchings whose matched
@@ -18,7 +21,7 @@ what bounds the canonical-form memo.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..graph import Color, ColoredGraph, Player
 from .common import Outcome, SearchStats, mex, recursion_capacity, split_components
@@ -97,45 +100,93 @@ def tree_component_code(g: ColoredGraph, comp: int) -> str:
     return min(code, _code_from_combo(kids[twin]))
 
 
+def _move_parts(comp: int, nbr: Sequence[int]) -> Iterator[tuple[int, int, list[int]]]:
+    """Each edge (u, v), u < v, of the tree component comp, with the
+    components of two or more vertices that playing it leaves.
+
+    One BFS from comp's lowest vertex gives the subtree masks bottom up.
+    Playing the tree edge from p down to v leaves the subtrees of v's
+    children, those of p's other children and the rest of comp above p
+    (empty when p is the root). Edges come sorted and each edge's parts
+    by lowest vertex, the order `split_components` gives, so the search
+    meets components in the same order as if it split each child. The
+    parts of an edge are built when it is reached: the generator is
+    suspended, not on the stack, while the search recurses into them,
+    and a search that fails deep builds only the moves it tried."""
+    order, parent = _bfs(nbr, comp, (comp & -comp).bit_length() - 1)
+    sub = {v: 1 << v for v in order}
+    kids: dict[int, list[int]] = {v: [] for v in order}
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
+            sub[p] |= sub[v]
+            kids[p].append(sub[v])
+    rest = comp
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        u = bit.bit_length() - 1
+        later = nbr[u] & rest
+        while later:
+            b = later & -later
+            later ^= b
+            w = b.bit_length() - 1
+            p, v = (u, w) if parent[w] == u else (w, u)
+            below = sub[v]
+            parts = [s for s in kids[v] + kids[p] if s != below and s & (s - 1)]
+            if len(parts) > 1:
+                parts.sort(key=lambda s: s & -s)
+            above = comp & ~sub[p]
+            if above & (above - 1):
+                parts.insert(0, above)  # it holds the root, comp's lowest vertex
+            yield u, w, parts
+
+
 def _forest_search(
     g: ColoredGraph, solve: bool
 ) -> tuple[int, Optional[tuple[int, int]], SearchStats]:
     """Value of the forest position g and, with solve and a nonzero value,
     the smallest edge to a child of value zero. Each component is probed
     by vertex set, then by canonical code, and its moves are expanded
-    only when both miss. A move nests exactly two calls (forest, then
-    children): a comprehension there would add a frame on the Pythons
-    that do not inline it."""
+    only when both miss. Only the root position and, in solve mode, its
+    children are split into components; below them, a move's components
+    come from the parent component's rooted BFS (`_move_parts`). A move
+    nests exactly two calls (component, then children): a comprehension
+    there would add a frame on the Pythons that do not inline it."""
     t0 = perf_counter()
     check_gray_forest(g)
     mask = g.alive
     nbr = g.neighbor_masks()
-    edge_masks = tuple(1 << u | 1 << v for u, v, _ in g.edges)
     by_mask: dict[int, int] = {}  # component mask -> value
     by_code: dict[str, int] = {}  # canonical code -> value
     nodes = 0
 
-    def forest(mask: int) -> int:
+    def component(comp: int) -> int:
         nonlocal nodes
-        total = 0
-        for comp in split_components(mask, nbr):
-            nodes += 1
-            value = by_mask.get(comp)
+        nodes += 1
+        value = by_mask.get(comp)
+        if value is None:
+            code = tree_component_code(g, comp)
+            value = by_code.get(code)
             if value is None:
-                code = tree_component_code(g, comp)
-                value = by_code.get(code)
-                if value is None:
-                    value = by_code[code] = children(comp)
-                by_mask[comp] = value
-            total ^= value
-        return total
+                value = by_code[code] = children(comp)
+            by_mask[comp] = value
+        return value
 
     def children(comp: int) -> int:
         values = set()
-        for em in edge_masks:
-            if comp & em == em:
-                values.add(forest(comp ^ em))
+        for _, _, parts in _move_parts(comp, nbr):
+            total = 0
+            for part in parts:
+                total ^= component(part)
+            values.add(total)
         return mex(values)
+
+    def forest(mask: int) -> int:
+        total = 0
+        for comp in split_components(mask, nbr):
+            total ^= component(comp)
+        return total
 
     move = None
     with recursion_capacity():

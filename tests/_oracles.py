@@ -117,6 +117,26 @@ def grundy_oracle(n, pairs):
     return value(frozenset(range(n)))
 
 
+def row_game_values(n_max, takes):
+    """Grundy values of rows of 0..n_max pins in a game where a move
+    knocks down `take` adjacent pins, for some take in takes, anywhere in
+    a row, leaving the pins on either side as two rows. Kayles (octal
+    0.77) takes 1 or 2; Dawson's Kayles (octal 0.07) takes 2, which is
+    Arc Kayles on a path. A plain table over row lengths, no graphs."""
+    values = []
+    for n in range(n_max + 1):
+        seen = {
+            values[left] ^ values[n - take - left]
+            for take in takes
+            for left in range(n - take + 1)
+        }
+        g = 0
+        while g in seen:
+            g += 1
+        values.append(g)
+    return values
+
+
 def exhaustive_min_cover_size(n, pairs):
     """Smallest vertex cover by subset enumeration in popcount order."""
     if not pairs:

@@ -19,7 +19,7 @@ from cak import (
     solve_tree,
 )
 from cak.engines.common import split_components
-from cak.engines.tree import check_gray_forest, tree_component_code
+from cak.engines.tree import _move_parts, check_gray_forest, tree_component_code
 from cak.graph import induced_mask
 
 from _oracles import (
@@ -30,6 +30,7 @@ from _oracles import (
     nk_count_oracle,
     prufer_trees,
     random_tree_pairs,
+    row_game_values,
     tree_code_oracle,
     trees_isomorphic,
 )
@@ -59,8 +60,10 @@ def test_grundy_known_values():
 
 
 def test_caterpillars_reproduce_kayles_values():
-    values = [grundy_tree(gen_caterpillar_kayles(p)) for p in range(1, 9)]
-    assert values == [1, 2, 3, 1, 4, 3, 2, 1]
+    kayles = row_game_values(30, (1, 2))
+    assert kayles[1:9] == [1, 2, 3, 1, 4, 3, 2, 1]
+    values = [grundy_tree(gen_caterpillar_kayles(p)) for p in range(1, 31)]
+    assert values == kayles[1:]
 
 
 def test_matches_naive_grundy_on_forests():
@@ -206,6 +209,42 @@ def test_canonical_code_of_one_component_ignores_the_rest():
         assert tree_component_code(g, comp) == tree_code_oracle(len(index), local)
 
 
+def move_parts_cases():
+    """Gray forests whose components stress the parts rule: relabeled
+    random trees and forests, stars and spiders with the center at the
+    lowest id (the BFS root) or elsewhere, and caterpillars."""
+    rng = random.Random(113)
+    for _ in range(40):
+        n = rng.randrange(2, 30)
+        yield gray_tree(relabeled(rng, n, random_tree_pairs(rng, n)), n)
+        yield random_forest(rng, n)
+    for leaves in (1, 2, 5, 12):
+        yield gray_tree([(0, leaf) for leaf in range(1, leaves + 1)])
+        yield gray_tree([(leaves, leaf) for leaf in range(leaves)])
+    for legs, length in ((3, 2), (6, 3), (4, 5)):
+        pairs = []
+        for leg in range(legs):
+            path = [0] + [1 + leg * length + i for i in range(length)]
+            pairs += list(zip(path, path[1:]))
+        n = 1 + legs * length
+        yield gray_tree(pairs, n)
+        yield gray_tree(relabeled(rng, n, pairs), n)
+    for pins in (1, 2, 7, 15):
+        yield gen_caterpillar_kayles(pins)
+
+
+def test_move_parts_match_split_components():
+    for g in move_parts_cases():
+        nbr = g.neighbor_masks()
+        for comp in split_components(g.alive, nbr):
+            moves = list(_move_parts(comp, nbr))
+            inside = [(u, v) for u, v, _ in g.edges if comp >> u & 1 and comp >> v & 1]
+            assert [(u, v) for u, v, _ in moves] == inside
+            for u, v, parts in moves:
+                child = comp & ~(1 << u | 1 << v)
+                assert parts == split_components(child, nbr), (g.edges, u, v)
+
+
 def test_canonical_code_of_a_long_path_needs_no_recursion():
     def chain(k):  # rooted path of k vertices, rooted at an end
         return "(" * k + ")" * k
@@ -256,6 +295,12 @@ def test_path_30_grundy_value():
 @pytest.mark.parametrize("n, value", [(40, 3), (60, 2), (80, 2)])
 def test_longer_path_grundy_values(n, value):
     assert grundy_tree(gray_path(n)) == value
+
+
+@pytest.mark.parametrize("n", [*range(1, 52), 69, 86, 103, 120])
+def test_path_grundy_matches_dawsons_kayles(n):
+    # a move on a path removes two adjacent vertices: octal game 0.07
+    assert grundy_tree(gray_path(n)) == row_game_values(n, (2,))[n]
 
 
 def test_too_deep_search_is_a_capacity_error():
