@@ -39,10 +39,8 @@ from .graph import (
     Player,
     VertexError,
     parse_graph,
-    permute,
     remove_closed_edge,
     serialize_graph,
-    swap_colors,
 )
 from .params import (
     ModulePartition,

@@ -3,7 +3,8 @@
 naive   exhaustive recursion, no memo (the reference oracle)
 subset  memo on the alive bitmask
 vc      memo on cover-class keys, moves thinned to representatives
-nd      memo on per-module survivor counts
+nd      memo on the alive mask; each module's survivors are its highest
+        members, so the mask is canonical
 tree    Sprague-Grundy on gray forests, canonical-form memo
 
 subset, vc and nd share one memoized search (common.search) and differ

@@ -1,17 +1,20 @@
-"""Module-keyed engine: search over per-module survivor counts.
+"""Module-keyed engine: memoized on the alive mask; each module's
+survivors are its highest members, so the mask is canonical.
 
 Partition the vertices into modules of pairwise (colored) twins. Twins
 are interchangeable by an automorphism, so a position is determined up
-to isomorphism by how many vertices of each module survive, and the
-memo key is just that tuple of counts. Every move removes two
-vertices, so within one search the counts also fix the side to move.
+to isomorphism by how many vertices of each module survive. The search
+starts with every module fully alive and each move removes the lowest
+alive members of the modules it plays in, so the mask and those counts
+determine each other on every position reached. Every move removes two
+vertices, so within one search the mask also fixes the side to move.
 The key space has size at most prod(|M_i| + 1).
 
 Between two modules adjacency is uniform (every pair or no pair, one
 color), and inside a module likewise, so one candidate edge per module
-pair (taken between smallest alive members) covers every playable edge
-up to child-key equality. The pairs each side may play are listed once
-per search.
+pair (taken between lowest alive members) covers every playable edge
+up to isomorphism of the child. The pairs each side may play are listed
+once per search.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from typing import Iterable, Optional
 from ..graph import ColoredGraph, Player, VertexError
 from ..params import ModulePartition, nd_partition
 from .common import PLAYABLE, Move, Outcome, SearchStats, search
-
-NdKey = tuple[int, ...]
 
 
 def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...]:
@@ -84,20 +85,20 @@ class _ModuleSearch:
             tuple((i, j) for i, j, c in pairs if c in playable) for playable in PLAYABLE
         )
 
-    def key(self, mask: int, side: int) -> NdKey:
-        return tuple((mask & mm).bit_count() for mm in self.module_masks)
+    def key(self, mask: int, side: int) -> int:
+        return mask
 
-    def candidates(self, mask: int, side: int, counts: NdKey) -> list[Move]:
+    def candidates(self, mask: int, side: int, key: int) -> list[Move]:
         """One edge per playable module pair with both ends alive: the
         lowest alive member of module i and the lowest other alive
         member of module j."""
         mm = self.module_masks
         moves = []
         for i, j in self.pairs[side]:
-            if counts[i] and counts[j] > (i == j):  # two alive when i == j
-                a = mask & mm[i]
-                low = a & -a
-                b = mask & mm[j] & ~low
+            a = mask & mm[i]
+            low = a & -a
+            b = mask & mm[j] & ~low
+            if a and b:  # when i == j, b needs a second alive member
                 other = b & -b
                 u, v = low.bit_length() - 1, other.bit_length() - 1
                 moves.append((u, v, low | other) if u < v else (v, u, low | other))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 
 DEFAULT_VERTEX_BUDGET = 5000
@@ -299,28 +299,6 @@ def remove_closed_edge(g: ColoredGraph, edge: tuple[int, int]) -> ColoredGraph:
         raise ValueError(f"edge {{{u}, {v}}} not present")
     kept = tuple(e for e in g.edges if u not in e[:2] and v not in e[:2])
     return ColoredGraph(g.n, kept, g.alive & ~(1 << u | 1 << v))
-
-
-def permute(g: ColoredGraph, perm: Sequence[int]) -> ColoredGraph:
-    """Relabel vertices: vertex v becomes perm[v]. perm must be a bijection."""
-    if len(perm) != g.n or sorted(perm) != list(range(g.n)):
-        raise ValueError("perm must be a bijection over range(n)")
-    edges = tuple((perm[u], perm[v], c) for u, v, c in g.edges)
-    alive = 0
-    for v in range(g.n):
-        if g.alive >> v & 1:
-            alive |= 1 << perm[v]
-    return ColoredGraph(g.n, edges, alive)
-
-
-def swap_colors(g: ColoredGraph) -> ColoredGraph:
-    """Exchange black and white everywhere; gray is fixed.
-
-    Swapping colors and swapping the mover are the same game: B wins
-    moving first on g iff W wins moving first on swap_colors(g).
-    """
-    flip = {Color.GRAY: Color.GRAY, Color.BLACK: Color.WHITE, Color.WHITE: Color.BLACK}
-    return ColoredGraph(g.n, tuple((u, v, flip[c]) for u, v, c in g.edges), g.alive)
 
 
 def resolve_alive(g: ColoredGraph, alive: Optional[int]) -> int:

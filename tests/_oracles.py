@@ -3,15 +3,22 @@
 Everything here recomputes game values and counts from first principles
 on small instances, so the engines have something honest to disagree
 with. Representations are deliberately different from the package's
-(vertex sets instead of bitmasks, letter colors instead of enums).
+(vertex sets instead of bitmasks, letter colors instead of enums). The
+one exception is count_keyed_nd, which reuses the package's search
+driver and nd moves on purpose, so that only the memo key differs.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import combinations, permutations, product
+from time import perf_counter
+
+from hypothesis import strategies as st
 
 from cak import Color, ColoredGraph
+from cak.engines.common import search
+from cak.engines.nd import _ModuleSearch
 
 LETTERS = {"g": Color.GRAY, "b": Color.BLACK, "w": Color.WHITE}
 
@@ -23,6 +30,28 @@ def build(n, lettered_edges, alive=None):
     """ColoredGraph from (u, v, letter) triples."""
     edges = tuple((u, v, LETTERS[c]) for u, v, c in lettered_edges)
     return ColoredGraph(n, edges, alive)
+
+
+def permute(g, perm):
+    """Relabel vertices: vertex v becomes perm[v]. perm must be a bijection."""
+    if len(perm) != g.n or sorted(perm) != list(range(g.n)):
+        raise ValueError("perm must be a bijection over range(n)")
+    edges = tuple((perm[u], perm[v], c) for u, v, c in g.edges)
+    alive = 0
+    for v in range(g.n):
+        if g.alive >> v & 1:
+            alive |= 1 << perm[v]
+    return ColoredGraph(g.n, edges, alive)
+
+
+def swap_colors(g):
+    """Exchange black and white everywhere; gray is fixed.
+
+    Swapping colors and swapping the mover are the same game: B wins
+    moving first on g iff W wins moving first on swap_colors(g).
+    """
+    flip = {Color.GRAY: Color.GRAY, Color.BLACK: Color.WHITE, Color.WHITE: Color.BLACK}
+    return ColoredGraph(g.n, tuple((u, v, flip[c]) for u, v, c in g.edges), g.alive)
 
 
 def representative_edges(classes):
@@ -45,6 +74,55 @@ def random_lettered_edges(rng, n, p, letters="gbw"):
         for u, v in combinations(range(n), 2)
         if rng.random() < p
     ]
+
+
+@st.composite
+def twin_blowups(draw):
+    """(graph, a partition finer than the coarsest twin modules). The
+    graph blows a random quotient up into modules that are independent
+    or one-color cliques and joined completely in one color or not at
+    all; each coarsest module is then cut at random, down to singletons."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    blocks, n = [], 0
+    for size in sizes:
+        blocks.append(range(n, n + size))
+        n += size
+    letter = st.sampled_from("-gbw")
+    edges = []
+    for i, left in enumerate(blocks):
+        inside = draw(letter)
+        if inside != "-":
+            edges += [(a, b, inside) for a in left for b in left if a < b]
+        for right in blocks[i + 1 :]:
+            between = draw(letter)
+            if between != "-":
+                edges += [(a, b, between) for a in left for b in right]
+    g = build(n, edges)
+    fine = []
+    for module in twin_classes_oracle(edges, range(n)):
+        module = draw(st.permutations(module))
+        cuts = draw(st.lists(st.booleans(), min_size=len(module) - 1, max_size=len(module) - 1))
+        start = 0
+        for end, cut in enumerate(cuts, start=1):
+            if cut:
+                fine.append(module[start:end])
+                start = end
+        fine.append(module[start:])
+    return g, fine
+
+
+def count_keyed_nd(g, turn, partition=None, restrict_to=None, short_circuit=True):
+    """The nd search memoized on the tuple of per-module alive counts,
+    which names a position up to isomorphism, in place of the engine's
+    alive mask; the driver and the candidate moves are the engine's. The
+    two keys merge the same positions exactly when the moves keep every
+    module's survivors canonical, and then every counter agrees."""
+    ms = _ModuleSearch(g, partition, restrict_to)
+
+    def key(mask, side):
+        return tuple((mask & mm).bit_count() for mm in ms.module_masks)
+
+    return search(g, turn, key, ms.candidates, short_circuit, perf_counter())
 
 
 def random_tree_pairs(rng, n):

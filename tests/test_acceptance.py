@@ -27,17 +27,22 @@ from cak import (
     grundy_tree,
     min_vertex_cover,
     nd_partition,
-    permute,
     solve_naive,
     solve_nd,
     solve_subset,
     solve_tree,
     solve_vc,
-    swap_colors,
 )
 from cak.generators import lower_nd_clique_vertices
 
-from _oracles import ACCEPTANCE_LINES, build, prufer_trees, random_tree_pairs
+from _oracles import (
+    ACCEPTANCE_LINES,
+    build,
+    permute,
+    prufer_trees,
+    random_tree_pairs,
+    swap_colors,
+)
 
 WEIGHT_MIXES = (
     (1, 1, 1),

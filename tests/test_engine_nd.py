@@ -1,9 +1,11 @@
-"""Module-keyed engine: count keys, twin validation, move thinning."""
+"""Module-keyed engine: mask keys, twin validation, move thinning."""
 
 import math
 import random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cak import (
     CapacityError,
@@ -16,9 +18,10 @@ from cak import (
     solve_nd,
     solve_subset,
 )
+from cak.engines import nd as nd_engine
 from cak.generators import lower_nd_clique_vertices
 
-from _oracles import build, random_lettered_edges
+from _oracles import build, count_keyed_nd, random_lettered_edges, twin_blowups
 
 
 def test_matches_subset_on_random_instances():
@@ -87,7 +90,7 @@ def test_partition_rejects_ids_that_are_not_ints():
 def test_k33_key_count():
     k33 = build(6, [(u, v, "g") for u in range(3) for v in range(3, 6)])
     out = solve_nd(k33, Player.B)
-    assert out.stats.distinct_keys <= 32  # 2 * (3+1)^2
+    assert out.stats.distinct_keys <= 16  # (3+1)^2
     stats = count_nd_positions(k33, Player.B)
     assert stats.distinct_keys == 4  # (3,3) (2,2) (1,1) (0,0), turns alternate
 
@@ -96,7 +99,7 @@ def test_single_clique_module():
     k4 = build(4, [(u, v, "g") for u in range(4) for v in range(u + 1, 4)])
     assert nd_partition(k4).count == 1
     stats = count_nd_positions(k4, Player.B)
-    assert stats.distinct_keys <= 2 * 5
+    assert stats.distinct_keys <= 5
     # intra-module moves drop the count by two each turn
     assert solve_nd(k4, Player.B).winner is solve_subset(k4, Player.B).winner
 
@@ -109,19 +112,21 @@ def test_empty_graph():
 
 
 def test_key_bound_holds_everywhere():
+    # The key leaves the side out: the alive count already fixes it.
     rng = random.Random(660)
     for _ in range(30):
         n = rng.randrange(1, 10)
         g = build(n, random_lettered_edges(rng, n, 0.5))
         modules = nd_partition(g).modules
-        bound = 2 * math.prod(len(m) + 1 for m in modules)
+        bound = math.prod(len(m) + 1 for m in modules)
         for turn in (Player.B, Player.W):
             assert count_nd_positions(g, turn).distinct_keys <= bound
 
 
 def test_module_moves_reach_every_child_key():
-    """One candidate edge per module pair gives the same child key set
-    as the full playable move set, at every reachable position."""
+    """One candidate edge per module pair gives the same set of child
+    count vectors (children up to isomorphism) as the full playable move
+    set, at every reachable position."""
     rng = random.Random(818)
     for case in range(20):
         n = rng.randrange(3, 9)
@@ -157,6 +162,62 @@ def test_module_moves_reach_every_child_key():
                 ):
                     thinned.add(key(child[0]))
             assert thinned == full, (case, mask, player)
+
+
+@st.composite
+def restricted_blowups(draw):
+    """(graph, finer partition, None or a union of its modules)."""
+    g, fine = draw(twin_blowups())
+    if not draw(st.booleans()):
+        return g, fine, None
+    picks = draw(st.lists(st.booleans(), min_size=len(fine), max_size=len(fine)))
+    return g, fine, {v for module, pick in zip(fine, picks) if pick for v in module}
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(restricted_blowups())
+def test_every_module_keeps_its_highest_members(case):
+    """The mask is a canonical key because every position the search
+    keys has, in each module, its highest members alive."""
+    g, fine, restrict = case
+    keyed = []
+    key = nd_engine._ModuleSearch.key
+
+    def spy(self, mask, side):
+        keyed.append((self.module_masks, mask))
+        return key(self, mask, side)
+
+    with patch.object(nd_engine._ModuleSearch, "key", spy):
+        for turn in Player:
+            count_nd_positions(g, turn, partition=fine, restrict_to=restrict)
+    assert keyed
+    for module_masks, mask in keyed:
+        for mm in module_masks:
+            members = [v for v in range(mm.bit_length()) if mm >> v & 1]
+            survivors = [v for v in members if mask >> v & 1]
+            assert survivors == members[len(members) - len(survivors) :], (mm, mask)
+
+
+def triple(stats):
+    return (stats.node_expansions, stats.memo_hits, stats.distinct_keys)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(restricted_blowups())
+def test_mask_key_counts_like_the_count_key(case):
+    """Keyed on per-module counts instead, the same search gives the same
+    answer and the same counters, in solve and in count mode."""
+    g, fine, restrict = case
+    for turn in Player:
+        want = count_keyed_nd(g, turn, fine, restrict, short_circuit=False).stats
+        assert triple(count_nd_positions(g, turn, fine, restrict)) == triple(want)
+        out = solve_nd(g, turn, partition=fine)
+        want = count_keyed_nd(g, turn, fine)
+        assert (out.winner, out.winning_move, triple(out.stats)) == (
+            want.winner,
+            want.winning_move,
+            triple(want.stats),
+        )
 
 
 def test_clique_restricted_exploration():

@@ -10,7 +10,6 @@ from cak import (
     equivalence_classes,
     gen_lower_vc,
     min_vertex_cover,
-    permute,
     solve_naive,
     solve_subset,
     solve_vc,
@@ -19,7 +18,7 @@ from cak import (
 from cak.engines.vc import _CoverSearch
 from cak.graph import induced_mask
 
-from _oracles import build, random_lettered_edges, representative_edges
+from _oracles import build, permute, random_lettered_edges, representative_edges
 
 
 def reachable_positions(g, turn):

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from cak import Player, gen_grid, solve_naive, solve_nd, solve_subset, solve_tree, solve_vc
 from cak.engines import nd as nd_engine, subset as subset_engine, vc as vc_engine
 from cak.engines.tree import check_gray_forest
-from cak.params import min_vertex_cover, nd_partition
+from cak.params import min_vertex_cover
 
-from _oracles import build
+from _oracles import build, twin_blowups
 
 
 @st.composite
@@ -53,41 +53,6 @@ def test_engines_agree_on_winner_and_move(case):
             outcomes.append(solve_tree(g, turn))
         for out in outcomes:
             assert (out.winner, out.winning_move) == (want.winner, want.winning_move)
-
-
-@st.composite
-def twin_blowups(draw):
-    """(graph, a partition finer than the coarsest twin modules). The
-    graph blows a random quotient up into modules that are independent
-    or one-color cliques and joined completely in one color or not at
-    all; each coarsest module is then cut at random, down to singletons."""
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
-    blocks, n = [], 0
-    for size in sizes:
-        blocks.append(range(n, n + size))
-        n += size
-    letter = st.sampled_from("-gbw")
-    edges = []
-    for i, left in enumerate(blocks):
-        inside = draw(letter)
-        if inside != "-":
-            edges += [(a, b, inside) for a in left for b in left if a < b]
-        for right in blocks[i + 1 :]:
-            between = draw(letter)
-            if between != "-":
-                edges += [(a, b, between) for a in left for b in right]
-    g = build(n, edges)
-    fine = []
-    for module in nd_partition(g).modules:
-        module = draw(st.permutations(module))
-        cuts = draw(st.lists(st.booleans(), min_size=len(module) - 1, max_size=len(module) - 1))
-        start = 0
-        for end, cut in enumerate(cuts, start=1):
-            if cut:
-                fine.append(module[start:end])
-                start = end
-        fine.append(module[start:])
-    return g, fine
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

@@ -13,14 +13,12 @@ from cak import (
     gen_grid,
     gen_random,
     parse_graph,
-    permute,
     remove_closed_edge,
     serialize_graph,
-    swap_colors,
 )
 from cak.graph import DEFAULT_VERTEX_BUDGET, VERTEX_BUDGET_ENV, induced_mask
 
-from _oracles import build, random_lettered_edges
+from _oracles import build, permute, random_lettered_edges, swap_colors
 
 
 def test_color_letters():
