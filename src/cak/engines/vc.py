@@ -24,7 +24,9 @@ keeps one class table per C, built the first time C is seen: every
 non-cover vertex of the start graph grouped toward C, as (class masks,
 member mask) rows sorted by masks. A position's classes are the rows
 with a member alive, and they come out of the table in key order, so a
-key is one walk over the rows with no grouping and no sort.
+key is one walk over the rows with no grouping and no sort. A move
+table per C and side, built when candidates first needs it, pairs each
+row's member mask with the cover vertices the side may join to it.
 """
 
 from __future__ import annotations
@@ -40,10 +42,8 @@ from .common import PLAYERS, Move, Outcome, SearchStats, search
 # pairs of a key.
 _ClassPairs = tuple[tuple[tuple[int, int, int], int], ...]
 VcKey = tuple[int, _ClassPairs, int]
-
-# Per side, the indices of its (gray, own color) masks in a class's
-# (gray, black, white) masks.
-_OWN_MASKS = ((0, 1), (0, 2))
+# (member mask, (u, 1 << u) per cover vertex u a side may join to it) rows.
+_MoveRows = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 
 class _CoverSearch:
@@ -52,7 +52,8 @@ class _CoverSearch:
         self.g = g
         self.cover_mask = sum(1 << v for v in cover_set)
         self.noncover = g.alive & ~self.cover_mask
-        self.nbr = g.neighbor_masks()
+        nbr = g.neighbor_masks()
+        self.cover_nbrs = tuple((1 << s, nbr[s]) for s in cover_set)  # for key's alive cover
         # Per side, the cover-internal edges it may play; the cheap cover
         # test runs first and keeps few edges.
         cm = self.cover_mask
@@ -60,8 +61,10 @@ class _CoverSearch:
         self.internal = tuple(
             tuple((u, v, 1 << u | 1 << v) for u, v, c in inner if p.can_play(c)) for p in PLAYERS
         )
-        # Per alive cover mask, its class table (see table).
+        # Per alive cover mask its class table (see table), and per (alive
+        # cover mask, side) its move table (see candidates).
         self.tables: dict[int, _ClassPairs] = {}
+        self.move_tables: dict[tuple[int, int], _MoveRows] = {}
 
     def table(self, alive_cover: int) -> _ClassPairs:
         """The cover classes of every non-cover vertex toward alive_cover,
@@ -78,7 +81,10 @@ class _CoverSearch:
         member gives a (class masks, size) pair of the key. The side
         stays in the key: isolated vertices are dropped from it, so the
         key does not fix how many vertices are alive."""
-        alive_cover = sum(1 << s for s in bits(mask & self.cover_mask) if self.nbr[s] & mask)
+        alive_cover = 0
+        for sb, ns in self.cover_nbrs:
+            if mask & sb and mask & ns:
+                alive_cover |= sb
         rows = self.tables.get(alive_cover)
         if rows is None:
             rows = self.tables[alive_cover] = self.table(alive_cover)
@@ -88,17 +94,23 @@ class _CoverSearch:
         return (alive_cover, tuple(counts), side)
 
     def candidates(self, mask: int, side: int, key) -> list[Move]:
-        """The cover-internal moves, plus per class of the key's alive
-        cover mask the edges of its representative: the lowest alive
-        member."""
-        moves = [m for m in self.internal[side] if mask & m[2] == m[2]]
-        gray, own = _OWN_MASKS[side]
-        for masks, members in self.tables[key[0]]:
+        """The cover-internal moves, dead ones included (the search skips
+        them), plus per class of the key's alive cover mask the edges of
+        its representative, the lowest alive member, to the cover vertices
+        of the side's move table (gray, or its color at masks[side + 1])."""
+        rows = self.move_tables.get(tk := (key[0], side))
+        if rows is None:
+            rows = self.move_tables[tk] = tuple(
+                (members, tuple((u, 1 << u) for u in bits(masks[0] | masks[side + 1])))
+                for masks, members in self.tables[key[0]]
+            )
+        moves = list(self.internal[side])
+        for members, cover_moves in rows:
             alive = members & mask
             if alive:
-                rep = (alive & -alive).bit_length() - 1
-                for u in bits(masks[gray] | masks[own]):
-                    moves.append((min(u, rep), max(u, rep), 1 << u | 1 << rep))
+                rep = (rb := alive & -alive).bit_length() - 1
+                for u, bu in cover_moves:
+                    moves.append((u, rep, bu | rb) if u < rep else (rep, u, bu | rb))
         return sorted(moves)
 
 

@@ -193,8 +193,12 @@ def test_one_search_object_keys_every_position_like_a_fresh_one():
     """The per-cover class tables a search keeps must not leak between
     positions: one _CoverSearch reused over every reachable position
     gives the key of a fresh vc_canonical_key and of an oracle built
-    from equivalence_classes, and the candidates of a fresh object."""
+    from equivalence_classes, and the candidates of a fresh object. Its
+    live candidates are the oracle's: the alive, playable cover-internal
+    edges, plus each class's lowest member joined by a playable edge to
+    each alive cover vertex."""
     rng = random.Random(1313)
+    rep_below_cover = False
     for case in range(30):
         n = rng.randrange(2, 11)
         g = build(n, random_lettered_edges(rng, n, rng.choice([0.3, 0.5])))
@@ -219,7 +223,22 @@ def test_one_search_object_keys_every_position_like_a_fresh_one():
                 assert key == (live_cover, tuple(pairs), side)
                 fresh = _CoverSearch(g, cover)
                 want = fresh.candidates(mask, side, fresh.key(mask, side))
-                assert cs.candidates(mask, side, key) == want
+                got = cs.candidates(mask, side, key)
+                assert got == want
+                oracle = [
+                    (u, v, 1 << u | 1 << v)
+                    for u, v, c in g.edges
+                    if u in cover and v in cover and mask >> u & mask >> v & 1 and player.can_play(c)
+                ]
+                for members in classes.values():
+                    rep = members[0]
+                    for u in cover:
+                        c = g.color_of(rep, u)
+                        if mask >> u & 1 and c is not None and player.can_play(c):
+                            oracle.append((min(u, rep), max(u, rep), 1 << u | 1 << rep))
+                            rep_below_cover |= rep < u
+                assert [m for m in got if mask & m[2] == m[2]] == sorted(oracle)
+    assert rep_below_cover  # the (rep, u) order of a move was exercised
 
 
 def test_count_mode_disables_short_circuit():

@@ -30,6 +30,8 @@ from cak import (
 )
 from cak.generators import lower_nd_clique_vertices
 
+from _oracles import build
+
 
 def triple(stats):
     return (stats.node_expansions, stats.memo_hits, stats.distinct_keys)
@@ -54,11 +56,23 @@ def test_subset_accounting(case):
     assert triple(count_subset_positions(g, Player(first))) == counted
 
 
+# A colored position with cover {1, 2, 3, 5} whose mover, B, wins; its
+# solve triple moves with the order in which vc tries inner moves.
+VC_WIN = [
+    (0, 3, "w"), (0, 5, "w"), (1, 2, "w"), (1, 6, "g"), (1, 7, "g"), (2, 4, "g"), (2, 5, "w"),
+    (2, 8, "b"), (3, 6, "b"), (3, 7, "w"), (3, 8, "g"), (4, 5, "b"), (5, 7, "g"), (5, 8, "g"),
+]
+
+
 def test_vc_accounting():
     g = gen_lower_vc(4)
     assert triple(count_vc_positions(g, Player.B)) == (3799, 3476, 323)
     out = solve_vc(g, Player.B)
     assert (out.winner, out.winning_move, triple(out.stats)) == (Player.W, None, (101, 59, 42))
+    g = build(9, VC_WIN)
+    assert triple(count_vc_positions(g, Player.B)) == (188, 117, 71)
+    out = solve_vc(g, Player.B)
+    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.B, (4, 5), (75, 31, 44))
 
 
 def test_nd_accounting():
