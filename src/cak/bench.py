@@ -25,7 +25,9 @@ A suite spec is JSON:
 Each suite entry takes the cartesian product of its grid lists (keys in
 sorted order). Random instances draw sequential seeds seed, seed+1, ...
 in expansion order; "repetitions" repeats each random parameter combo.
-Per-entry "engines", "turn", "count_mode" override the top level.
+Per-entry "engines", "turn", "count_mode" override the top level. A
+field not named here is an error, and so is "repetitions" outside a
+random entry.
 
 Rows are sorted by instance id then engine, and the winners of all
 successful solve rows for one instance must agree; a disagreement
@@ -83,6 +85,13 @@ class _Task:
     restrict_to: Optional[frozenset[int]]
 
 
+# The fields a suite spec and each of its entries may have.
+_SUITE_FIELDS = {"seed", "turn", "engines", "count_mode", "suites"}
+_ENTRY_FIELDS = {
+    "generator", "grid", "turn", "engines", "count_mode", "restrict_clique_edges", "repetitions"
+}
+
+
 def _fmt_value(v) -> str:
     if isinstance(v, (list, tuple)):
         return ":".join(str(x) for x in v)
@@ -101,9 +110,18 @@ def _field(obj: dict, name: str, kind: type, default, where: str):
     return value
 
 
+def _check_fields(obj: dict, allowed: set[str], where: str) -> None:
+    """Rejects a field of obj outside allowed, so a misspelled field
+    is an error instead of a silent default."""
+    unknown = sorted(obj.keys() - allowed)
+    if unknown:
+        raise ValueError(f"unknown {where} field {unknown[0]!r}")
+
+
 def expand_suite(spec: dict) -> list[_Task]:
     if not isinstance(spec, dict):
         raise ValueError("suite spec must be a JSON object")
+    _check_fields(spec, _SUITE_FIELDS, "suite")
     base_turn = Player.parse(_field(spec, "turn", str, "B", "suite"))
     base_engines = _field(spec, "engines", list, ["subset"], "suite")
     base_count_mode = _field(spec, "count_mode", bool, False, "suite")
@@ -115,6 +133,7 @@ def expand_suite(spec: dict) -> list[_Task]:
         name = entry["generator"]
         if name not in GENERATORS:
             raise ValueError(f"unknown generator {name!r}")
+        _check_fields(entry, _ENTRY_FIELDS, "suite entry")
         fn, param_names = GENERATORS[name]
         grid = _field(entry, "grid", dict, {}, "suite entry")
         for key, values in grid.items():
@@ -133,9 +152,9 @@ def expand_suite(spec: dict) -> list[_Task]:
             raise ValueError("restrict_clique_edges only applies to lower-nd")
         keys = sorted(grid)
         combos = [dict(zip(keys, values)) for values in product(*(grid[k] for k in keys))]
-        repetitions = 1
-        if name == "random":
-            repetitions = _field(entry, "repetitions", int, 1, "suite entry")
+        if "repetitions" in entry and name != "random":
+            raise ValueError("repetitions only applies to random")
+        repetitions = _field(entry, "repetitions", int, 1, "suite entry")
         for combo in combos:
             for _ in range(repetitions):
                 params = dict(combo)

@@ -22,7 +22,7 @@ from .engines import (
     select_engine,
 )
 from .generators import GENERATORS
-from .graph import ParseError, Player, VertexError, parse_graph, serialize_graph
+from .graph import Player, VertexError, parse_graph, serialize_graph
 from .params import equivalence_classes, min_vertex_cover, nd_partition
 
 
@@ -246,10 +246,7 @@ def main(argv=None) -> int:
     except VertexError as exc:
         print(f"error: {exc.one_based()}", file=sys.stderr)
         return 2
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # a ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

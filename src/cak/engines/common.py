@@ -73,7 +73,7 @@ def recursion_capacity() -> Iterator[None]:
 def search(
     g: ColoredGraph,
     turn: Player,
-    key: Callable[[int, int], Hashable],
+    key: Optional[Callable[[int, int], Hashable]],
     moves: Callable[[int, int, Hashable], Sequence[Move]],
     short_circuit: bool,
     started: float,
@@ -81,19 +81,19 @@ def search(
     """Memoized win/loss search from g's alive vertices, turn to move.
 
     The side to move is an index into PLAYERS (0 = B, 1 = W), and the
-    opponent of side is side ^ 1. key(mask, side) names the class of
-    positions sharing a game value. Every move removes two vertices, so
-    within one search the number of alive vertices fixes the side to
-    move; a key may leave the side out only when it fixes that number.
-    moves(mask, side, k) lists the candidate moves of a position whose
-    key k missed the memo. A candidate whose endpoints are not both
-    alive is skipped.
+    opponent of side is side ^ 1. moves(mask, side, k) lists the
+    candidate moves of a position whose key k missed the memo; a
+    candidate whose endpoints are not both alive is skipped. The key is
+    the alive mask when key is None, else key(mask, side): the class of
+    positions sharing a game value, for an engine that canonicalizes.
+    Every move removes two vertices, so within one search the number of
+    alive vertices fixes the side to move; a key may leave the side out
+    only when it fixes that number, as the mask does.
 
     The root tries its candidates in sorted order, so the first losing
     child it meets is the smallest winning move. An inner position
     needs only whether its mover wins, so it tries its candidates in
-    the order moves gives them: an engine may put the likely winners
-    first to cut off sooner. With short_circuit off, every child is
+    the order moves makes them. With short_circuit off, every child is
     evaluated, so the stats cover the whole memoized recursion tree
     whatever the order. started is the perf_counter() reading the
     elapsed time is measured from, so an engine's set-up (cover,
@@ -112,7 +112,7 @@ def search(
         for u, v, em in candidates:
             if mask & em == em:
                 child = mask ^ em
-                ck = key(child, opp)
+                ck = child if key is None else key(child, opp)
                 nodes += 1
                 won = memo.get(ck)
                 if won is None:
@@ -126,7 +126,7 @@ def search(
         return found
 
     side = PLAYERS.index(turn)
-    k = key(g.alive, side)
+    k = g.alive if key is None else key(g.alive, side)
     with recursion_capacity():
         move = first_win(g.alive, side, sorted(moves(g.alive, side, k)))
     memo[k] = move is not None

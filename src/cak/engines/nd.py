@@ -14,7 +14,7 @@ Between two modules adjacency is uniform (every pair or no pair, one
 color), and inside a module likewise, so one candidate edge per module
 pair (taken between lowest alive members) covers every playable edge
 up to isomorphism of the child. The pairs each side may play are listed
-once per search.
+once per search, and inner positions try them in that order.
 """
 
 from __future__ import annotations
@@ -85,9 +85,6 @@ class _ModuleSearch:
             tuple((i, j) for i, j, c in pairs if c in playable) for playable in PLAYABLE
         )
 
-    def key(self, mask: int, side: int) -> int:
-        return mask
-
     def candidates(self, mask: int, side: int, key: int) -> list[Move]:
         """One edge per playable module pair with both ends alive: the
         lowest alive member of module i and the lowest other alive
@@ -102,7 +99,6 @@ class _ModuleSearch:
                 other = b & -b
                 u, v = low.bit_length() - 1, other.bit_length() - 1
                 moves.append((u, v, low | other) if u < v else (v, u, low | other))
-        moves.sort()
         return moves
 
 
@@ -115,7 +111,7 @@ def _run(
 ) -> Outcome:
     t0 = perf_counter()
     ms = _ModuleSearch(g, partition, restrict_to)
-    return search(g, turn, ms.key, ms.candidates, short_circuit, t0)
+    return search(g, turn, None, ms.candidates, short_circuit, t0)
 
 
 def solve_nd(g: ColoredGraph, turn: Player, partition=None) -> Outcome:

@@ -67,7 +67,7 @@ def _run(g: ColoredGraph, turn: Player, max_n: int, short_circuit: bool) -> Outc
     def moves(mask: int, side: int, key) -> tuple[Move, ...]:
         return edges[side]
 
-    return search(g, turn, lambda mask, side: mask, moves, short_circuit, t0)
+    return search(g, turn, None, moves, short_circuit, t0)
 
 
 def solve_subset(g: ColoredGraph, turn: Player, max_n: int = DEFAULT_MAX_N) -> Outcome:

@@ -12,7 +12,8 @@ bijection, so they share a game value.
 Moves are restricted to cover-internal edges plus, per class, the edges
 of the class representative (smallest alive member): any playable edge
 into a class produces a child with the same key as the representative's
-edge, so nothing is lost.
+edge, so nothing is lost. Inner positions try the cover-internal edges
+first, then the class moves in table order (see below).
 
 Normalization: cover vertices that are isolated in the current position
 are dropped from the key, and so are non-cover vertices with an
@@ -21,12 +22,12 @@ all-absent vector (both have no moves left and cannot influence play).
 The class partition depends only on the surviving cover C, and a search
 meets at most 2^|S| of them, far fewer than its positions. So the search
 keeps one class table per C, built the first time C is seen: every
-non-cover vertex of the start graph grouped toward C, as (class masks,
-member mask) rows sorted by masks. A position's classes are the rows
-with a member alive, and they come out of the table in key order, so a
-key is one walk over the rows with no grouping and no sort. A move
-table per C and side, built when candidates first needs it, pairs each
-row's member mask with the cover vertices the side may join to it.
+non-cover vertex of the start graph grouped toward C, as rows sorted by
+class masks, each with its member mask and, per side, the cover
+vertices that side may join to the class. A position's classes are the
+rows with a member alive, and they come out of the table in key order,
+so a key is one walk over the rows with no grouping and no sort, and
+the moves are read off the same rows.
 """
 
 from __future__ import annotations
@@ -36,14 +37,11 @@ from typing import Iterable, Optional
 
 from ..graph import ColoredGraph, Player, bits, resolve_alive
 from ..params import as_cover, cover_classes, min_vertex_cover
-from .common import PLAYERS, Move, Outcome, SearchStats, search
+from .common import PLAYABLE, PLAYERS, Move, Outcome, SearchStats, search
 
-# (class masks, member mask) rows of a class table; (class masks, size)
-# pairs of a key.
+# (class masks, size) pairs of a key.
 _ClassPairs = tuple[tuple[tuple[int, int, int], int], ...]
 VcKey = tuple[int, _ClassPairs, int]
-# (member mask, (u, 1 << u) per cover vertex u a side may join to it) rows.
-_MoveRows = tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 
 class _CoverSearch:
@@ -61,20 +59,21 @@ class _CoverSearch:
         self.internal = tuple(
             tuple((u, v, 1 << u | 1 << v) for u, v, c in inner if p.can_play(c)) for p in PLAYERS
         )
-        # Per alive cover mask its class table (see table), and per (alive
-        # cover mask, side) its move table (see candidates).
-        self.tables: dict[int, _ClassPairs] = {}
-        self.move_tables: dict[tuple[int, int], _MoveRows] = {}
+        self.tables: dict[int, tuple] = {}  # per alive cover mask (see table)
 
-    def table(self, alive_cover: int) -> _ClassPairs:
+    def table(self, alive_cover: int) -> tuple:
         """The cover classes of every non-cover vertex toward alive_cover,
-        as (class masks, member mask) rows sorted by masks, without the
-        all-absent class."""
+        without the all-absent class, as rows sorted by class masks: the
+        masks, the member mask, and per side the (u, 1 << u) of each
+        cover vertex u joined to the class by an edge that side may play."""
         classes = cover_classes(self.g, self.noncover, alive_cover)
         classes.pop((0, 0, 0), None)
-        return tuple(
-            sorted((masks, sum(1 << v for v in members)) for masks, members in classes.items())
-        )
+        rows = []
+        for masks, members in sorted(classes.items()):
+            joins = (sum(masks[c - 1] for c in playable) for playable in PLAYABLE)
+            moves = tuple(tuple((u, 1 << u) for u in bits(j)) for j in joins)
+            rows.append((masks, sum(1 << v for v in members), moves))
+        return tuple(rows)
 
     def key(self, mask: int, side: int):
         """Walks the alive cover mask's table once: each row with an alive
@@ -89,29 +88,23 @@ class _CoverSearch:
         if rows is None:
             rows = self.tables[alive_cover] = self.table(alive_cover)
         counts = [
-            (masks, alive.bit_count()) for masks, members in rows if (alive := members & mask)
+            (masks, alive.bit_count()) for masks, members, _ in rows if (alive := members & mask)
         ]
         return (alive_cover, tuple(counts), side)
 
     def candidates(self, mask: int, side: int, key) -> list[Move]:
-        """The cover-internal moves, dead ones included (the search skips
-        them), plus per class of the key's alive cover mask the edges of
-        its representative, the lowest alive member, to the cover vertices
-        of the side's move table (gray, or its color at masks[side + 1])."""
-        rows = self.move_tables.get(tk := (key[0], side))
-        if rows is None:
-            rows = self.move_tables[tk] = tuple(
-                (members, tuple((u, 1 << u) for u in bits(masks[0] | masks[side + 1])))
-                for masks, members in self.tables[key[0]]
-            )
+        """The side's cover-internal moves, dead ones included (the search
+        skips them), then per alive row of the key's table the edges of
+        the class representative, its lowest alive member, to the row's
+        cover moves for the side."""
         moves = list(self.internal[side])
-        for members, cover_moves in rows:
+        for _, members, cover_moves in self.tables[key[0]]:
             alive = members & mask
             if alive:
                 rep = (rb := alive & -alive).bit_length() - 1
-                for u, bu in cover_moves:
+                for u, bu in cover_moves[side]:
                     moves.append((u, rep, bu | rb) if u < rep else (rep, u, bu | rb))
-        return sorted(moves)
+        return moves
 
 
 def vc_canonical_key(

@@ -297,8 +297,7 @@ def remove_closed_edge(g: ColoredGraph, edge: tuple[int, int]) -> ColoredGraph:
         u, v = v, u
     if g.color_of(u, v) is None:
         raise ValueError(f"edge {{{u}, {v}}} not present")
-    kept = tuple(e for e in g.edges if u not in e[:2] and v not in e[:2])
-    return ColoredGraph(g.n, kept, g.alive & ~(1 << u | 1 << v))
+    return induced_mask(g, g.alive & ~(1 << u | 1 << v))
 
 
 def resolve_alive(g: ColoredGraph, alive: Optional[int]) -> int:

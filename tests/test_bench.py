@@ -88,6 +88,15 @@ def test_expand_suite_rejects_bad_specs():
         expand_suite(
             {"suites": [{"generator": "grid", "grid": {"rows": [1], "cols": [2]}, "restrict_clique_edges": True}]}
         )
+    # A misspelled field is an error, not a silent default: an unread
+    # "engins" or "engine" would run subset.
+    grid = {"generator": "grid", "grid": {"rows": [1], "cols": [2]}}
+    with pytest.raises(ValueError, match="unknown suite field 'engins'"):
+        expand_suite({"suites": [grid], "engins": ["nd"]})
+    with pytest.raises(ValueError, match="unknown suite entry field 'engine'"):
+        expand_suite({"suites": [{**grid, "engine": ["vc"]}]})
+    with pytest.raises(ValueError, match="repetitions only applies to random"):
+        expand_suite({"suites": [{**grid, "repetitions": 3}]})
 
 
 def test_run_bench_records():

@@ -178,16 +178,19 @@ def restricted_blowups(draw):
 @given(restricted_blowups())
 def test_every_module_keeps_its_highest_members(case):
     """The mask is a canonical key because every position the search
-    keys has, in each module, its highest members alive."""
+    keys has, in each module, its highest members alive. The search keys
+    nd on the mask itself, so every distinct mask it reaches misses the
+    memo once and is expanded exactly once: spying on candidates sees
+    every keyed position."""
     g, fine, restrict = case
     keyed = []
-    key = nd_engine._ModuleSearch.key
+    candidates = nd_engine._ModuleSearch.candidates
 
-    def spy(self, mask, side):
+    def spy(self, mask, side, key):
         keyed.append((self.module_masks, mask))
-        return key(self, mask, side)
+        return candidates(self, mask, side, key)
 
-    with patch.object(nd_engine._ModuleSearch, "key", spy):
+    with patch.object(nd_engine._ModuleSearch, "candidates", spy):
         for turn in Player:
             count_nd_positions(g, turn, partition=fine, restrict_to=restrict)
     assert keyed

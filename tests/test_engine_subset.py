@@ -127,7 +127,7 @@ def _stats(result):
     "run, want_stats, want_move",
     [
         (lambda: solve_subset(gen_grid(3, 3), Player.B), (81, 32, 49), None),
-        (lambda: solve_vc(gen_grid(3, 4, "domineering"), Player.W), (44, 12, 32), (0, 1)),
+        (lambda: solve_vc(gen_grid(3, 4, "domineering"), Player.W), (50, 12, 38), (0, 1)),
         (lambda: solve_nd(gen_lower_nd(3, 2), Player.B), (97, 48, 49), None),
         (lambda: count_nd_positions(gen_lower_nd(3, 2), Player.B), (275, 200, 75), None),
         (lambda: count_vc_positions(gen_lower_vc(2), Player.B), (13, 6, 7), None),

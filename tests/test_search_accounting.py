@@ -4,14 +4,18 @@ The (node_expansions, memo_hits, distinct_keys) triples below were
 recorded with the driver that called itself on every child and looked
 the key up inside the call; the subset solve triples were recorded
 again when subset began to try, below the root, the edges that destroy
-the most opponent edges first. Any change to how the driver visits
-positions must reproduce them exactly: the search tree, the memo and
-the counts are part of what the CLI prints. Count mode evaluates every
-child, so its triples do not depend on the order of the candidates.
-The naive engine's node counts were recorded with its root loop
-written apart from its recursion, and pin the plain recursion tree the
-same way.
+the most opponent edges first, and the vc solve triples when vc stopped
+sorting the candidates of inner positions (it now tries its
+cover-internal edges first, then the class moves in table order). Any
+change to how the driver visits positions must reproduce them
+exactly: the search tree, the memo and the counts are part of what the
+CLI prints. Count mode evaluates every child, so its triples do not
+depend on the order of the candidates. The naive engine's node counts
+were recorded with its root loop written apart from its recursion, and
+pin the plain recursion tree the same way.
 """
+
+from unittest.mock import patch
 
 import pytest
 
@@ -28,6 +32,9 @@ from cak import (
     solve_subset,
     solve_vc,
 )
+from cak.engines import nd as nd_engine
+from cak.engines import subset as subset_engine
+from cak.engines.common import search
 from cak.generators import lower_nd_clique_vertices
 
 from _oracles import build
@@ -68,11 +75,11 @@ def test_vc_accounting():
     g = gen_lower_vc(4)
     assert triple(count_vc_positions(g, Player.B)) == (3799, 3476, 323)
     out = solve_vc(g, Player.B)
-    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.W, None, (101, 59, 42))
+    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.W, None, (138, 76, 62))
     g = build(9, VC_WIN)
     assert triple(count_vc_positions(g, Player.B)) == (188, 117, 71)
     out = solve_vc(g, Player.B)
-    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.B, (4, 5), (75, 31, 44))
+    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.B, (4, 5), (88, 38, 50))
 
 
 def test_nd_accounting():
@@ -87,6 +94,40 @@ def test_restricted_nd_accounting(first):
     g = gen_lower_nd(3, 2)
     stats = count_nd_positions(g, first, restrict_to=lower_nd_clique_vertices(3, 2))
     assert triple(stats) == (34, 20, 14)
+
+
+def _identity_keyed(g, turn, key, moves, short_circuit, started):
+    """common.search as an engine that names its mask key would call it."""
+    assert key is None
+    return search(g, turn, lambda mask, side: mask, moves, short_circuit, started)
+
+
+@pytest.mark.parametrize(
+    "engine, solve, count",
+    [
+        (subset_engine, solve_subset, count_subset_positions),
+        (nd_engine, solve_nd, count_nd_positions),
+    ],
+    ids=["subset", "nd"],
+)
+def test_default_key_is_the_alive_mask(engine, solve, count):
+    """subset and nd pass no key, so the search keys them on the alive
+    mask; an explicit identity key must give the same winner, move and
+    triple in solve and in count mode."""
+    boards = [gen_grid(3, 3), gen_grid(2, 5), gen_grid(3, 4, "domineering"), gen_lower_nd(3, 2)]
+    for g in boards:
+        for first in Player:
+            out = solve(g, first)
+            counted = count(g, first)
+            with patch.object(engine, "search", _identity_keyed):
+                want = solve(g, first)
+                want_counted = count(g, first)
+            assert (out.winner, out.winning_move, triple(out.stats)) == (
+                want.winner,
+                want.winning_move,
+                triple(want.stats),
+            )
+            assert triple(counted) == triple(want_counted)
 
 
 # (board, first player) -> (node_expansions, winner, winning move)
