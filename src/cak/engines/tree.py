@@ -1,15 +1,15 @@
 """Tree engine: Sprague-Grundy values on gray forests.
 
 Positions decompose over components, values XOR, and one component's
-value is a mex over its moves. Components are memoized by vertex set
-and under a canonical form (the AHU rooted shape code from the
-centroid; Aho, Hopcroft & Ullman 1974), so a vertex set is coded once
-and isomorphic subtrees arising anywhere in the search share one
-evaluation. The code comes from one BFS: the centroid is read off the
-subtree sizes, and only the chain of vertices above it is re-rooted.
-Only the root position (and, when solving, its children) is split into
-components; the components a move leaves are read off the subtree
-masks of one rooted BFS of the component it is played in.
+value is a mex over its moves. Components are memoized by vertex set,
+then by rooted shape, then under a canonical form (the centroid-rooted
+AHU code; Aho, Hopcroft & Ullman 1974), so isomorphic subtrees arising
+anywhere in the search share one evaluation. The code comes from one
+BFS that reads the centroid off the subtree sizes. Only the root
+position (and, when solving, its children) is split into components;
+the components a move leaves, and their rooted shapes as interned ids,
+are read off one rooted BFS of the component it is played in, so a new
+vertex set is coded only when its rooted shape is new.
 
 Also counts, for a rooted tree, how many non-isomorphic rooted subtrees
 survive at the root under play-like removals: matchings whose matched
@@ -21,7 +21,7 @@ what bounds the canonical-form memo.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..graph import Color, ColoredGraph, Player
 from .common import Outcome, SearchStats, mex, recursion_capacity, split_components
@@ -100,9 +100,12 @@ def tree_component_code(g: ColoredGraph, comp: int) -> str:
     return min(code, _code_from_combo(kids[twin]))
 
 
-def _move_parts(comp: int, nbr: Sequence[int]) -> Iterator[tuple[int, int, list[int]]]:
+def _move_parts(
+    comp: int, nbr: Sequence[int], ids: dict[tuple[int, ...], int]
+) -> tuple[Iterator[tuple[int, int, list[int]]], Callable[[int, int, int], int]]:
     """Each edge (u, v), u < v, of the tree component comp, with the
-    components of two or more vertices that playing it leaves.
+    components of two or more vertices that playing it leaves; and a
+    function giving each such part's rooted shape id.
 
     One BFS from comp's lowest vertex gives the subtree masks bottom up.
     Playing the tree edge from p down to v leaves the subtrees of v's
@@ -112,7 +115,16 @@ def _move_parts(comp: int, nbr: Sequence[int]) -> Iterator[tuple[int, int, list[
     meets components in the same order as if it split each child. The
     parts of an edge are built when it is reached: the generator is
     suspended, not on the stack, while the search recurses into them,
-    and a search that fails deep builds only the moves it tried."""
+    and a search that fails deep builds only the moves it tried.
+
+    shape(part, u, v) is the rooted shape id of a part that playing
+    (u, v) leaves, rooted where the part hangs off the edge: the interned
+    sorted tuple of its children's ids (AHU with integers), so equal ids
+    mean equal rooted shapes wherever the ids table is shared. The first
+    call interns every subtree bottom up. The part above p hangs at
+    q = parent[p] and is q's other subtrees plus q's own part above, so
+    a call walks up to a vertex whose part above is known or hangs off
+    the root, then interns back down."""
     order, parent = _bfs(nbr, comp, (comp & -comp).bit_length() - 1)
     sub = {v: 1 << v for v in order}
     kids: dict[int, list[int]] = {v: [] for v in order}
@@ -121,25 +133,54 @@ def _move_parts(comp: int, nbr: Sequence[int]) -> Iterator[tuple[int, int, list[
         if p >= 0:
             sub[p] |= sub[v]
             kids[p].append(sub[v])
-    rest = comp
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        u = bit.bit_length() - 1
-        later = nbr[u] & rest
-        while later:
-            b = later & -later
-            later ^= b
-            w = b.bit_length() - 1
-            p, v = (u, w) if parent[w] == u else (w, u)
-            below = sub[v]
-            parts = [s for s in kids[v] + kids[p] if s != below and s & (s - 1)]
-            if len(parts) > 1:
-                parts.sort(key=lambda s: s & -s)
-            above = comp & ~sub[p]
-            if above & (above - 1):
-                parts.insert(0, above)  # it holds the root, comp's lowest vertex
-            yield u, w, parts
+    down: dict[int, int] = {}  # v -> id of sub[v], rooted at v
+    kid_ids: dict[int, list[int]] = {v: [] for v in order}  # v -> its children's ids
+    up: dict[int, int] = {}  # p -> id of comp ^ sub[p], rooted at parent[p]
+
+    def shape(part: int, u: int, w: int) -> int:
+        if not down:
+            for v in order[:0:-1]:  # bottom up; no part is all of comp
+                key = kid_ids[v]
+                key.sort()
+                down[v] = ids.setdefault(tuple(key), len(ids))
+                kid_ids[parent[v]].append(down[v])
+        if not part & comp & -comp:  # a subtree, rooted next to u or w
+            return down[(part & (nbr[u] | nbr[w])).bit_length() - 1]
+        chain = [u if parent[w] == u else w]  # part is the part above chain[0]
+        while chain[-1] not in up and parent[parent[chain[-1]]] >= 0:
+            chain.append(parent[chain[-1]])
+        for p in reversed(chain):
+            if p not in up:
+                q = parent[p]
+                around = kid_ids[q].copy()
+                around.remove(down[p])
+                if parent[q] >= 0:
+                    around.append(up[q])
+                up[p] = ids.setdefault(tuple(sorted(around)), len(ids))
+        return up[chain[0]]
+
+    def moves() -> Iterator[tuple[int, int, list[int]]]:
+        rest = comp
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            later = nbr[u] & rest
+            while later:
+                b = later & -later
+                later ^= b
+                w = b.bit_length() - 1
+                p, v = (u, w) if parent[w] == u else (w, u)
+                below = sub[v]
+                parts = [s for s in kids[v] + kids[p] if s != below and s & (s - 1)]
+                if len(parts) > 1:
+                    parts.sort(key=lambda s: s & -s)
+                above = comp & ~sub[p]
+                if above & (above - 1):
+                    parts.insert(0, above)  # it holds the root, comp's lowest vertex
+                yield u, w, parts
+
+    return moves(), shape
 
 
 def _forest_search(
@@ -147,45 +188,57 @@ def _forest_search(
 ) -> tuple[int, Optional[tuple[int, int]], SearchStats]:
     """Value of the forest position g and, with solve and a nonzero value,
     the smallest edge to a child of value zero. Each component is probed
-    by vertex set, then by canonical code, and its moves are expanded
-    only when both miss. Only the root position and, in solve mode, its
-    children are split into components; below them, a move's components
-    come from the parent component's rooted BFS (`_move_parts`). A move
-    nests exactly two calls (component, then children): a comprehension
+    by vertex set, then (when a move left it) by rooted shape, then by
+    canonical code, and its moves are expanded only when all three miss.
+    Only the root position and, in solve mode, its children are split
+    into components; below them, a move's components and their shapes
+    come from the parent component's rooted BFS (`_move_parts`). The
+    callers probe by vertex set, so a memo hit costs no call, and a move
+    nests exactly two calls (evaluate, then children): a comprehension
     there would add a frame on the Pythons that do not inline it."""
     t0 = perf_counter()
     check_gray_forest(g)
     mask = g.alive
     nbr = g.neighbor_masks()
     by_mask: dict[int, int] = {}  # component mask -> value
+    by_shape: dict[int, int] = {}  # rooted shape id -> value
     by_code: dict[str, int] = {}  # canonical code -> value
+    ids: dict[tuple[int, ...], int] = {}  # children's shape ids -> shape id
     nodes = 0
 
-    def component(comp: int) -> int:
-        nonlocal nodes
-        nodes += 1
-        value = by_mask.get(comp)
+    def evaluate(comp: int, shape: Optional[int]) -> int:
+        """Value of a component that missed by vertex set."""
+        value = by_shape.get(shape)
         if value is None:
             code = tree_component_code(g, comp)
             value = by_code.get(code)
             if value is None:
                 value = by_code[code] = children(comp)
-            by_mask[comp] = value
+            if shape is not None:
+                by_shape[shape] = value
+        by_mask[comp] = value
         return value
 
     def children(comp: int) -> int:
+        nonlocal nodes
         values = set()
-        for _, _, parts in _move_parts(comp, nbr):
+        moves, shape = _move_parts(comp, nbr, ids)
+        for u, w, parts in moves:
+            nodes += len(parts)
             total = 0
             for part in parts:
-                total ^= component(part)
+                value = by_mask.get(part)
+                total ^= evaluate(part, shape(part, u, w)) if value is None else value
             values.add(total)
         return mex(values)
 
     def forest(mask: int) -> int:
+        nonlocal nodes
         total = 0
         for comp in split_components(mask, nbr):
-            total ^= component(comp)
+            nodes += 1
+            value = by_mask.get(comp)
+            total ^= evaluate(comp, None) if value is None else value
         return total
 
     move = None

@@ -270,6 +270,12 @@ def _shape(adjsets, root, alive):
     return code(root, None)
 
 
+def rooted_shape_oracle(n, pairs, root, alive):
+    """Rooted shape string of the tree through `root` on the vertices in
+    `alive`, built from scratch by recursion."""
+    return _shape(_adjsets(n, pairs), root, alive)
+
+
 def _adjsets(n, pairs):
     adj = {v: set() for v in range(n)}
     for u, v in pairs:

@@ -18,9 +18,10 @@ from cak import (
     solve_subset,
     solve_tree,
 )
+import cak.engines.tree as tree_engine
 from cak.engines.common import split_components
 from cak.engines.tree import _move_parts, check_gray_forest, tree_component_code
-from cak.graph import induced_mask
+from cak.graph import bits, induced_mask
 
 from _oracles import (
     ak_count_oracle,
@@ -30,6 +31,7 @@ from _oracles import (
     nk_count_oracle,
     prufer_trees,
     random_tree_pairs,
+    rooted_shape_oracle,
     row_game_values,
     tree_code_oracle,
     trees_isomorphic,
@@ -233,16 +235,85 @@ def move_parts_cases():
         yield gen_caterpillar_kayles(pins)
 
 
+def moved_parts(g, ids):
+    """(comp, u, v, part, shape id) for every part of every move of
+    every component of g, the ids interned in the shared table ids."""
+    nbr = g.neighbor_masks()
+    for comp in split_components(g.alive, nbr):
+        moves, shape = _move_parts(comp, nbr, ids)
+        for u, v, parts in moves:
+            for part in parts:
+                yield comp, u, v, part, shape(part, u, v)
+
+
 def test_move_parts_match_split_components():
     for g in move_parts_cases():
         nbr = g.neighbor_masks()
         for comp in split_components(g.alive, nbr):
-            moves = list(_move_parts(comp, nbr))
+            moves = list(_move_parts(comp, nbr, {})[0])
             inside = [(u, v) for u, v, _ in g.edges if comp >> u & 1 and comp >> v & 1]
             assert [(u, v) for u, v, _ in moves] == inside
             for u, v, parts in moves:
                 child = comp & ~(1 << u | 1 << v)
                 assert parts == split_components(child, nbr), (g.edges, u, v)
+
+
+def test_move_part_shape_ids_match_rooted_shapes():
+    # a part hangs off the played edge by one tree edge; rooted at its
+    # end in the part, equal ids must mean equal shapes, across graphs
+    ids, shape_of, id_of = {}, {}, {}
+    for g in move_parts_cases():
+        nbr = g.neighbor_masks()
+        pairs = [(u, v) for u, v, _ in g.edges]
+        for _, u, v, part, sid in moved_parts(g, ids):
+            hang = part & (nbr[u] | nbr[v])
+            assert hang and not hang & (hang - 1)
+            want = rooted_shape_oracle(g.n, pairs, hang.bit_length() - 1, set(bits(part)))
+            assert shape_of.setdefault(sid, want) == want
+            assert id_of.setdefault(want, sid) == sid
+
+
+def test_each_shape_id_has_one_canonical_code():
+    rng = random.Random(131)
+    cases = [*move_parts_cases(), *(random_forest(rng, rng.randrange(2, 40)) for _ in range(40))]
+    ids, code_of = {}, {}
+    parts = 0
+    for g in cases:
+        for _, _, _, part, sid in moved_parts(g, ids):
+            parts += 1
+            code = tree_component_code(g, part)
+            assert code_of.setdefault(sid, code) == code
+    assert len(code_of) < parts
+
+
+def test_gray_path_codes_only_new_shapes(monkeypatch):
+    # the root component is coded; below it, every coded part is the
+    # first of its rooted shape, and a path's parts are paths rooted at
+    # an end, one shape per length: so no code is computed twice
+    coded = []
+
+    def counting(g, comp):
+        coded.append(tree_component_code(g, comp))
+        return coded[-1]
+
+    monkeypatch.setattr(tree_engine, "tree_component_code", counting)
+    g = gray_path(80)
+    assert grundy_tree(g) == 2
+    roots = len(split_components(g.alive, g.neighbor_masks()))
+    assert len(coded) <= len(set(coded)) + roots
+    assert len(set(coded)) == 78  # paths of 80 and of 2..78 vertices
+
+
+def test_part_shapes_of_a_long_path_need_no_recursion():
+    g = gray_path(3000)
+    moves, shape = _move_parts(g.alive, g.neighbor_masks(), {})
+    for u, v, parts in moves:
+        if (u, v) == (1499, 1500):
+            # 0..1498 rooted at 1498 (the part above) and 1501..2999
+            # rooted at 1501 (a subtree): paths of 1,499 rooted at an end
+            above, below = parts
+            assert shape(above, u, v) == shape(below, u, v)
+            break
 
 
 def test_canonical_code_of_a_long_path_needs_no_recursion():
@@ -297,7 +368,7 @@ def test_longer_path_grundy_values(n, value):
     assert grundy_tree(gray_path(n)) == value
 
 
-@pytest.mark.parametrize("n", [*range(1, 52), 69, 86, 103, 120])
+@pytest.mark.parametrize("n", [*range(1, 52), 69, 86, 103, 120, 160, 200])
 def test_path_grundy_matches_dawsons_kayles(n):
     # a move on a path removes two adjacent vertices: octal game 0.07
     assert grundy_tree(gray_path(n)) == row_game_values(n, (2,))[n]
@@ -310,6 +381,27 @@ def test_too_deep_search_is_a_capacity_error():
         grundy_tree(g)
     with pytest.raises(CapacityError, match="recursion limit"):
         solve_tree(g, Player.B)
+
+
+def test_lowered_limit_keeps_the_longest_solvable_path(shallow_stack):
+    # The limit is set so that a plain recursion from here nests exactly
+    # 60 frames, whatever the interpreter counts below this test. A path's
+    # search nests two frames per move plus a few at the deepest visit,
+    # and no shape or code adds frames per vertex.
+    def nest(depth):
+        try:
+            return nest(depth + 1)
+        except RecursionError:
+            return depth
+
+    shallow_stack(60)
+    missing = 60 - nest(1)
+    shallow_stack(60 + missing)
+    assert nest(1) == 60
+    for solve, longest in ((grundy_tree, 55), (lambda g: solve_tree(g, Player.B), 53)):
+        solve(gray_path(longest))
+        with pytest.raises(CapacityError, match="recursion limit"):
+            solve(gray_path(longest + 1))
 
 
 def test_p3_subtree_counts():
