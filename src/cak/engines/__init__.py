@@ -8,8 +8,9 @@ nd      memo on the alive mask; each module's survivors are its highest
 tree    Sprague-Grundy on gray forests, canonical-form memo
 
 subset, vc and nd share one memoized search (common.search) and differ
-only in their candidate moves. The search keys a position on its alive
-mask; vc alone supplies a key, because it merges isomorphic positions.
+only in their candidate moves, edge masks whose (u, v) the root reads
+off the winning one. The search keys a position on its alive mask; vc
+alone supplies a key, because it merges isomorphic positions.
 """
 
 from inspect import signature

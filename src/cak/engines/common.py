@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
-from ..graph import Color, ColoredGraph, Player
+from ..graph import Color, ColoredGraph, Player, bits
 
 
 class CapacityError(ValueError):
@@ -44,7 +44,7 @@ class Outcome:
     stats: SearchStats
 
 
-Move = tuple[int, int, int]  # (u, v, bitmask of u and v)
+Move = int  # an edge {u, v} as its endpoint mask 1 << u | 1 << v
 
 PLAYERS = (Player.B, Player.W)  # a search's side index names one of these
 # The edge colors each side may play, indexed like PLAYERS.
@@ -52,7 +52,7 @@ PLAYABLE = tuple(frozenset(c for c in Color if p.can_play(c)) for p in PLAYERS)
 
 
 def playable_edges(g: ColoredGraph, player: Player) -> tuple[Move, ...]:
-    return tuple((u, v, 1 << u | 1 << v) for u, v, c in g.edges if player.can_play(c))
+    return tuple(1 << u | 1 << v for u, v, c in g.edges if player.can_play(c))
 
 
 @contextmanager
@@ -81,17 +81,18 @@ def search(
     """Memoized win/loss search from g's alive vertices, turn to move.
 
     The side to move is an index into PLAYERS (0 = B, 1 = W), and the
-    opponent of side is side ^ 1. moves(mask, side, k) lists the
-    candidate moves of a position whose key k missed the memo; a
-    candidate whose endpoints are not both alive is skipped. The key is
-    the alive mask when key is None, else key(mask, side): the class of
+    opponent of side is side ^ 1. moves(mask, side, k) lists the edge
+    masks of a position's candidate moves when its key k missed the memo;
+    one whose endpoints are not both alive is skipped. The key is the
+    alive mask when key is None, else key(mask, side): the class of
     positions sharing a game value, for an engine that canonicalizes.
     Every move removes two vertices, so within one search the number of
     alive vertices fixes the side to move; a key may leave the side out
     only when it fixes that number, as the mask does.
 
-    The root tries its candidates in sorted order, so the first losing
-    child it meets is the smallest winning move. An inner position
+    The root tries its candidates sorted by edge, not by mask ((0, 5) is
+    33, (1, 2) is 6), so the first losing child it meets is the smallest
+    winning move, whose (u, v) it reads off the mask. An inner position
     needs only whether its mover wins, so it tries its candidates in
     the order moves makes them. With short_circuit off, every child is
     evaluated, so the stats cover the whole memoized recursion tree
@@ -102,14 +103,14 @@ def search(
     memo: dict = {}
     nodes, hits = 1, 0  # the root is visited and is never a memo hit
 
-    def first_win(mask: int, side: int, candidates: Sequence[Move]) -> Optional[tuple[int, int]]:
-        """The first winning candidate (u, v) of a position, or None.
+    def first_win(mask: int, side: int, candidates: Sequence[Move]) -> Optional[Move]:
+        """The first winning candidate's mask of a position, or None.
         Each child's key is probed here, so a memo hit costs no call,
         and a miss stores the child's answer."""
         nonlocal nodes, hits
         found = None
         opp = side ^ 1
-        for u, v, em in candidates:
+        for em in candidates:
             if mask & em == em:
                 child = mask ^ em
                 ck = child if key is None else key(child, opp)
@@ -120,7 +121,7 @@ def search(
                 else:
                     hits += 1
                 if not won and found is None:
-                    found = (u, v)
+                    found = em
                     if short_circuit:
                         break
         return found
@@ -128,11 +129,11 @@ def search(
     side = PLAYERS.index(turn)
     k = g.alive if key is None else key(g.alive, side)
     with recursion_capacity():
-        move = first_win(g.alive, side, sorted(moves(g.alive, side, k)))
+        move = first_win(g.alive, side, sorted(moves(g.alive, side, k), key=bits))
     memo[k] = move is not None
     stats = SearchStats(nodes, hits, len(memo), perf_counter() - started)
     winner = turn if move is not None else turn.opponent
-    return Outcome(winner, move, stats)
+    return Outcome(winner, None if move is None else tuple(bits(move)), stats)
 
 
 def mex(values) -> int:

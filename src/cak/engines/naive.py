@@ -11,7 +11,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Optional
 
-from ..graph import Color, ColoredGraph, Player
+from ..graph import Color, ColoredGraph, Player, bits
 from .common import (
     Outcome,
     SearchStats,
@@ -27,20 +27,20 @@ def solve_naive(g: ColoredGraph, turn: Player) -> Outcome:
     edges = {p: playable_edges(g, p) for p in Player}
     stats = SearchStats()
 
-    def first_win(mask: int, player: Player) -> Optional[tuple[int, int]]:
-        """The first playable edge after which the opponent loses, or None."""
+    def first_win(mask: int, player: Player) -> Optional[int]:
+        """The mask of the first edge after which the opponent loses, or None."""
         stats.node_expansions += 1
         opp = player.opponent
-        for u, v, em in edges[player]:
+        for em in edges[player]:
             if mask & em == em and first_win(mask & ~em, opp) is None:
-                return (u, v)
+                return em
         return None
 
     with recursion_capacity():
         move = first_win(g.alive, turn)
     stats.elapsed = perf_counter() - t0
     winner = turn if move is not None else turn.opponent
-    return Outcome(winner, move, stats)
+    return Outcome(winner, None if move is None else tuple(bits(move)), stats)
 
 
 def grundy_naive(g: ColoredGraph) -> int:

@@ -86,8 +86,8 @@ class _ModuleSearch:
         )
 
     def candidates(self, mask: int, side: int, key: int) -> list[Move]:
-        """One edge per playable module pair with both ends alive: the
-        lowest alive member of module i and the lowest other alive
+        """One edge mask per playable module pair with both ends alive:
+        the lowest alive member of module i and the lowest other alive
         member of module j."""
         mm = self.module_masks
         moves = []
@@ -96,9 +96,7 @@ class _ModuleSearch:
             low = a & -a
             b = mask & mm[j] & ~low
             if a and b:  # when i == j, b needs a second alive member
-                other = b & -b
-                u, v = low.bit_length() - 1, other.bit_length() - 1
-                moves.append((u, v, low | other) if u < v else (v, u, low | other))
+                moves.append(low | b & -b)
         return moves
 
 

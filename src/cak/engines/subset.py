@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from time import perf_counter
 
-from ..graph import ColoredGraph, Player
+from ..graph import ColoredGraph, Player, bits
 from .common import (
     PLAYABLE,
     PLAYERS,
@@ -37,10 +37,10 @@ from .common import (
 DEFAULT_MAX_N = 32
 
 
-def _destroyed(move: Move, opp: list[int]) -> int:
-    """How many of the edges in the neighbour masks opp playing move
+def _destroyed(em: Move, opp: list[int]) -> int:
+    """How many of the edges in the neighbour masks opp playing em
     destroys: every one at either end, the edge itself once."""
-    u, v, _ = move
+    u, v = bits(em)
     return opp[u].bit_count() + opp[v].bit_count() - (opp[u] >> v & 1)
 
 
@@ -58,9 +58,9 @@ def _run(g: ColoredGraph, turn: Player, max_n: int, short_circuit: bool) -> Outc
     )
 
     # Per side, its playable edges, those that destroy the most opponent
-    # edges first, ties in lexicographic order.
+    # edges first, ties in g.edges' (lexicographic) order: sorts are stable.
     edges = tuple(
-        tuple(sorted(playable_edges(g, p), key=lambda m: (-_destroyed(m, reach[side ^ 1]), m)))
+        tuple(sorted(playable_edges(g, p), key=lambda em: -_destroyed(em, reach[side ^ 1])))
         for side, p in enumerate(PLAYERS)
     )
 

@@ -57,22 +57,22 @@ class _CoverSearch:
         cm = self.cover_mask
         inner = [(u, v, c) for u, v, c in g.edges if cm >> u & cm >> v & 1]
         self.internal = tuple(
-            tuple((u, v, 1 << u | 1 << v) for u, v, c in inner if p.can_play(c)) for p in PLAYERS
+            tuple(1 << u | 1 << v for u, v, c in inner if p.can_play(c)) for p in PLAYERS
         )
         self.tables: dict[int, tuple] = {}  # per alive cover mask (see table)
 
     def table(self, alive_cover: int) -> tuple:
         """The cover classes of every non-cover vertex toward alive_cover,
         without the all-absent class, as rows sorted by class masks: the
-        masks, the member mask, and per side the (u, 1 << u) of each
-        cover vertex u joined to the class by an edge that side may play."""
+        masks, the member mask, and per side the bit 1 << u of each cover
+        vertex u joined to the class by an edge that side may play."""
         classes = cover_classes(self.g, self.noncover, alive_cover)
         classes.pop((0, 0, 0), None)
         rows = []
         for masks, members in sorted(classes.items()):
             joins = (sum(masks[c - 1] for c in playable) for playable in PLAYABLE)
-            moves = tuple(tuple((u, 1 << u) for u in bits(j)) for j in joins)
-            rows.append((masks, sum(1 << v for v in members), moves))
+            cover_bits = tuple(tuple(1 << u for u in bits(j)) for j in joins)
+            rows.append((masks, sum(1 << v for v in members), cover_bits))
         return tuple(rows)
 
     def key(self, mask: int, side: int):
@@ -96,14 +96,14 @@ class _CoverSearch:
         """The side's cover-internal moves, dead ones included (the search
         skips them), then per alive row of the key's table the edges of
         the class representative, its lowest alive member, to the row's
-        cover moves for the side."""
+        cover bits for the side, all as edge masks."""
         moves = list(self.internal[side])
-        for _, members, cover_moves in self.tables[key[0]]:
+        for _, members, cover_bits in self.tables[key[0]]:
             alive = members & mask
             if alive:
-                rep = (rb := alive & -alive).bit_length() - 1
-                for u, bu in cover_moves[side]:
-                    moves.append((u, rep, bu | rb) if u < rep else (rep, u, bu | rb))
+                rb = alive & -alive
+                for bu in cover_bits[side]:
+                    moves.append(bu | rb)
         return moves
 
 

@@ -12,12 +12,11 @@ from .graph import VERTEX_BUDGET_ENV, Color, ColoredGraph, vertex_budget
 
 
 def _check_budget(what: str, n: int) -> None:
-    """Refuse to build an instance of n vertices over vertex_budget()."""
+    """Refuse an instance when n, its vertex count or a lower bound of it, is over vertex_budget()."""
     limit = vertex_budget()
     if n > limit:
         raise ValueError(
-            f"{what} needs n={n} vertices, over the budget of {limit}"
-            f" (raise {VERTEX_BUDGET_ENV} to allow it)"
+            f"{what} is over the budget of {limit} vertices (raise {VERTEX_BUDGET_ENV} to allow it)"
         )
 
 
@@ -113,7 +112,8 @@ def gen_lower_vc(k: int) -> ColoredGraph:
     if not (k == 2 or (k >= 4 and k % 4 == 0)):
         raise ValueError(f"k must be 2 or a multiple of 4, got {k}")
     half = k // 2
-    patterns = 4 ** half
+    # Past the budget's bit length, 4 ** half alone is over it: never take that power.
+    patterns = 4 ** min(half, vertex_budget().bit_length())
     n = k + patterns * half
     _check_budget(f"lower-vc k={k}", n)
     black_slots = max(1, k // 4)

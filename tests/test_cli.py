@@ -389,6 +389,18 @@ def test_vertex_count_over_budget_exits_2(tmp_path):
     assert "CAK_MAX_VERTICES" in proc.stderr
 
 
+def test_gen_far_over_budget_names_the_budget(monkeypatch):
+    """4 ** 50000 vertices: the count has over 4,300 digits, too many
+    for Python to print, and the message names only the budget."""
+    monkeypatch.delenv("CAK_MAX_VERTICES", raising=False)
+    proc = run_cli("gen", "lower-vc", "--k", "100000")
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: lower-vc k=100000 is over the budget of 5000 vertices"
+        " (raise CAK_MAX_VERTICES to allow it)\n"
+    )
+
+
 def test_too_deep_tree_search_exits_2(tmp_path):
     n = 2500
     path = tmp_path / "path.cak"

@@ -59,10 +59,9 @@ def test_winning_move_contract():
         assert turn.can_play(g.color_of(u, v))
         assert solve_naive(remove_closed_edge(g, (u, v)), turn.opponent).winner is turn
         # reported move is the lexicographically smallest winning edge
+        edges = [tuple(v for v in range(g.n) if em >> v & 1) for em in playable_edges(g, turn)]
         winning = [
-            (a, b)
-            for a, b, _ in playable_edges(g, turn)
-            if solve_naive(remove_closed_edge(g, (a, b)), turn.opponent).winner is turn
+            e for e in edges if solve_naive(remove_closed_edge(g, e), turn.opponent).winner is turn
         ]
         assert out.winning_move == min(winning)
 

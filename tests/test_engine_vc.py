@@ -194,13 +194,13 @@ def test_one_search_object_keys_every_position_like_a_fresh_one():
     positions: one _CoverSearch reused over every reachable position
     gives the key of a fresh vc_canonical_key and of an oracle built
     from equivalence_classes, and the candidates of a fresh object. Its
-    live candidates are the oracle's: the alive, playable cover-internal
-    edges, plus each class's lowest member joined by a playable edge to
-    each alive cover vertex. They also come in the order inner positions
-    try them: the cover-internal edges in lexicographic order, then the
-    classes sorted by their (gray, black, white) masks toward the alive
-    cover, as the class table lists them, each joined to its cover
-    vertices in increasing id."""
+    live candidates, as edge masks, are the oracle's: the alive, playable
+    cover-internal edges, plus each class's lowest member joined by a
+    playable edge to each alive cover vertex. They also come in the
+    order inner positions try them: the cover-internal edges in
+    lexicographic order, then the classes sorted by their (gray, black,
+    white) masks toward the alive cover, as the class table lists them,
+    each joined to its cover vertices in increasing id."""
     rng = random.Random(1313)
     rep_below_cover = False
     for case in range(30):
@@ -230,7 +230,7 @@ def test_one_search_object_keys_every_position_like_a_fresh_one():
                 got = cs.candidates(mask, side, key)
                 assert got == want
                 oracle = [
-                    (u, v, 1 << u | 1 << v)
+                    1 << u | 1 << v
                     for u, v, c in g.edges
                     if u in cover and v in cover and mask >> u & mask >> v & 1 and player.can_play(c)
                 ]
@@ -239,12 +239,12 @@ def test_one_search_object_keys_every_position_like_a_fresh_one():
                     for u in sorted(cover):
                         c = g.color_of(rep, u)
                         if mask >> u & 1 and c is not None and player.can_play(c):
-                            oracle.append((min(u, rep), max(u, rep), 1 << u | 1 << rep))
+                            oracle.append(1 << u | 1 << rep)
                             rep_below_cover |= rep < u
-                live = [m for m in got if mask & m[2] == m[2]]
+                live = [em for em in got if mask & em == em]
                 assert sorted(live) == sorted(oracle)
                 assert live == oracle
-    assert rep_below_cover  # the (rep, u) order of a move was exercised
+    assert rep_below_cover  # a class move whose low bit is the representative
 
 
 def test_count_mode_disables_short_circuit():

@@ -95,3 +95,13 @@ def test_inner_order_leaves_winner_and_move_alone(case):
 @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 3), (2, 5), (3, 4)])
 def test_inner_order_leaves_grid_answers_alone(variant, rows, cols):
     assert_order_independent(gen_grid(rows, cols, variant))
+
+
+def test_root_reports_the_smallest_edge_not_the_smallest_mask():
+    """Every move of three disjoint gray edges wins for the mover. The
+    smallest edge (0, 5) has the largest mask (33 > 6 for (1, 2)), so a
+    root that sorted its candidates by mask would report (1, 2)."""
+    g = build(6, [(0, 5, "g"), (1, 2, "g"), (3, 4, "g")])
+    for solve in (solve_subset, solve_vc, solve_nd, solve_naive, solve_tree):
+        out = solve(g, Player.B)
+        assert (out.winner, out.winning_move) == (Player.B, (0, 5)), solve.__name__

@@ -222,19 +222,25 @@ def test_every_generator_checks_the_vertex_budget(monkeypatch):
     )
     for make in fitting:
         assert make().n <= 12
-    too_big = {
-        "grid rows=3 cols=5 needs n=15": lambda: gen_grid(3, 5),
-        "caterpillar pins=7 needs n=14": lambda: gen_caterpillar_kayles(7),
-        "lower-vc k=4 needs n=36": lambda: gen_lower_vc(4),
-        "lower-nd k=3 s=4 needs n=15": lambda: gen_lower_nd(3, 4),
-        "random n=13 needs n=13": lambda: gen_random(13, 0.5),
-    }
-    for message, make in too_big.items():
-        with pytest.raises(ValueError) as err:
-            make()
-        assert str(err.value) == (
-            f"{message} vertices, over the budget of 12 (raise {VERTEX_BUDGET_ENV} to allow it)"
-        )
+    # (what the message names, the exact vertex count, the generator)
+    too_big = (
+        ("grid rows=3 cols=5", 15, lambda: gen_grid(3, 5)),
+        ("caterpillar pins=7", 14, lambda: gen_caterpillar_kayles(7)),
+        ("lower-vc k=4", 36, lambda: gen_lower_vc(4)),
+        ("lower-nd k=3 s=4", 15, lambda: gen_lower_nd(3, 4)),
+        ("random n=13", 13, lambda: gen_random(13, 0.5)),
+    )
+    for what, n, make in too_big:
+        for budget in (12, n - 1):
+            monkeypatch.setenv(VERTEX_BUDGET_ENV, str(budget))
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == (
+                f"{what} is over the budget of {budget} vertices"
+                f" (raise {VERTEX_BUDGET_ENV} to allow it)"
+            )
+        monkeypatch.setenv(VERTEX_BUDGET_ENV, str(n))
+        assert make().n == n  # the budget is compared with the exact count
     monkeypatch.delenv(VERTEX_BUDGET_ENV)
     with pytest.raises(ValueError, match="over the budget"):
         gen_grid(100000, 100000)  # refused before any edge is built
