@@ -1,16 +1,17 @@
 """Winner-determination engines and the registry that names them.
 
 naive   exhaustive recursion, no memo (the reference oracle)
-subset  memo on the alive bitmask
+subset  nd on the one-vertex partition: the alive-mask search, no merging
 vc      memo on cover-class keys, moves thinned to representatives
 nd      memo on the alive mask; each module's survivors are its highest
         members, so the mask is canonical
 tree    Sprague-Grundy on gray forests, canonical-form memo
 
-subset, vc and nd share one memoized search (common.search) and differ
-only in their candidate moves, edge masks whose (u, v) the root reads
-off the winning one. The search keys a position on its alive mask; vc
-alone supplies a key, because it merges isomorphic positions.
+vc and nd share one memoized search (common.search) and differ only in
+their candidate moves, edge masks whose (u, v) the root reads off the
+winning one; subset is nd's search, every module one vertex. The
+search keys a position on its alive mask; vc alone supplies a key,
+because it merges isomorphic positions.
 """
 
 from inspect import signature

@@ -13,17 +13,25 @@ The key space has size at most prod(|M_i| + 1).
 Between two modules adjacency is uniform (every pair or no pair, one
 color), and inside a module likewise, so one candidate edge per module
 pair (taken between lowest alive members) covers every playable edge
-up to isomorphism of the child. The pairs each side may play are listed
-once per search, and inner positions try them in that order.
+up to isomorphism of the child.
+
+Move order: each side's playable module pairs are sorted once per
+search, those whose edges destroy the most opponent edges of the start
+graph first, ties on (i, j): a move that leaves the opponent few
+replies likely wins, so the search cuts off sooner. Pairs of two
+one-vertex modules are fixed edges, kept as one tuple of masks and
+tried first. No order changes whether an inner position's mover wins,
+and the root sorts its candidates again. On one-vertex modules every
+pair is fixed: that search is the subset engine.
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations_with_replacement
+from itertools import chain
 from time import perf_counter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from ..graph import ColoredGraph, Player, VertexError
+from ..graph import Color, ColoredGraph, Player, VertexError, bits
 from ..params import ModulePartition, nd_partition
 from .common import PLAYABLE, Move, Outcome, SearchStats, search
 
@@ -60,38 +68,63 @@ def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...
     return tuple(sorted(modules))
 
 
+def _destroyed(em: Move, opp: list[int]) -> int:
+    """How many of the edges in the neighbour masks opp playing em
+    destroys: every one at either end, the edge itself once."""
+    u, v = bits(em)
+    return opp[u].bit_count() + opp[v].bit_count() - (opp[u] >> v & 1)
+
+
 class _ModuleSearch:
-    def __init__(self, g: ColoredGraph, partition, restrict_to: Optional[Iterable[int]]):
-        modules = _resolve_partition(g, partition)
+    def __init__(self, g: ColoredGraph, modules, restrict_to: Optional[Iterable[int]]):
         self.module_masks = tuple(sum(1 << v for v in m) for m in modules)
-        playing = range(len(modules))
+        edges = g.edges
         if restrict_to is not None:
             # Only a union of modules keeps the representative edges exact.
             inside = set(restrict_to)
-            hits = [sum(v in inside for v in m) for m in modules]
-            if any(0 < hit < len(m) for hit, m in zip(hits, modules)):
+            if any(0 < sum(v in inside for v in m) < len(m) for m in modules):
                 raise ValueError("restriction set must be a union of modules")
-            playing = [i for i, hit in enumerate(hits) if hit]
-        # Per side, the module pairs (i, j), i <= j, whose edges it may
-        # play; i == j is an edge inside a module of two or more (a
-        # one-vertex module pairs v with itself, which has no color).
-        # Twins give all edges of a pair one color, so one pair of
-        # members decides it.
-        pairs = [
-            (i, j, g.color_of(modules[i][0], modules[j][-1 if i == j else 0]))
-            for i, j in combinations_with_replacement(playing, 2)
-        ]
-        self.pairs = tuple(
-            tuple((i, j) for i, j, c in pairs if c in playable) for playable in PLAYABLE
+            edges = [(u, v, c) for u, v, c in edges if u in inside and v in inside]
+        module_of = {v: i for i, m in enumerate(modules) for v in m}
+        # Each module pair (i, j), i <= j, joined by an edge, with its
+        # first edge; i == j is an edge inside a module. Twins give all
+        # edges of a pair one color and one destroyed count, so that edge
+        # speaks for the pair.
+        pairs: dict[tuple[int, int], tuple[Color, Move]] = {}
+        for u, v, c in edges:
+            i, j = sorted((module_of[u], module_of[v]))
+            pairs.setdefault((i, j), (c, 1 << u | 1 << v))
+        masks = g.color_masks()
+        # Per side, each vertex's neighbours over the edges that side may play.
+        reach = tuple(
+            [sum(masks[c - 1][v] for c in playable) for v in range(g.n)] for playable in PLAYABLE
         )
+        # Per side, in the order the module docstring gives: the fixed
+        # edges, then the other pairs.
+        self.sides = []
+        for side, playable in enumerate(PLAYABLE):
+            fixed, rest = [], []
+            for _, (i, j), em in sorted(
+                (-_destroyed(em, reach[side ^ 1]), ij, em)
+                for ij, (c, em) in pairs.items()
+                if c in playable
+            ):
+                if len(modules[i]) == len(modules[j]) == 1:
+                    fixed.append(em)
+                else:
+                    rest.append((i, j))
+            self.sides.append((tuple(fixed), tuple(rest)))
 
-    def candidates(self, mask: int, side: int, key: int) -> list[Move]:
-        """One edge mask per playable module pair with both ends alive:
-        the lowest alive member of module i and the lowest other alive
-        member of module j."""
+    def candidates(self, mask: int, side: int, key: int) -> Sequence[Move]:
+        """The side's fixed edges, then one edge mask per other playable
+        module pair with both ends alive: the lowest alive member of
+        module i and the lowest other alive member of module j."""
+        fixed, pairs = self.sides[side]
+        if not pairs:
+            return fixed
         mm = self.module_masks
-        moves = []
-        for i, j in self.pairs[side]:
+        moves = list(fixed)
+        for i, j in pairs:
             a = mask & mm[i]
             low = a & -a
             b = mask & mm[j] & ~low
@@ -103,12 +136,14 @@ class _ModuleSearch:
 def _run(
     g: ColoredGraph,
     turn: Player,
-    partition,
+    modules: tuple[tuple[int, ...], ...],
     short_circuit: bool,
     restrict_to: Optional[Iterable[int]] = None,
+    started: Optional[float] = None,
 ) -> Outcome:
-    t0 = perf_counter()
-    ms = _ModuleSearch(g, partition, restrict_to)
+    """The search over resolved modules; set-up is timed from started."""
+    t0 = perf_counter() if started is None else started
+    ms = _ModuleSearch(g, modules, restrict_to)
     return search(g, turn, None, ms.candidates, short_circuit, t0)
 
 
@@ -116,7 +151,8 @@ def solve_nd(g: ColoredGraph, turn: Player, partition=None) -> Outcome:
     """Solve with a supplied module partition (validated: pairwise
     colored twins covering the alive vertices) or the computed coarsest
     one."""
-    return _run(g, turn, partition, short_circuit=True)
+    t0 = perf_counter()
+    return _run(g, turn, _resolve_partition(g, partition), True, started=t0)
 
 
 def count_nd_positions(
@@ -128,4 +164,5 @@ def count_nd_positions(
     """Full-expansion instrumentation; optionally restrict moves to edges
     inside a vertex set (a union of modules), as in the clique-family
     state-space experiment."""
-    return _run(g, turn, partition, short_circuit=False, restrict_to=restrict_to).stats
+    t0 = perf_counter()
+    return _run(g, turn, _resolve_partition(g, partition), False, restrict_to, t0).stats

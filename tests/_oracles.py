@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from cak import Color, ColoredGraph
 from cak.engines.common import search
-from cak.engines.nd import _ModuleSearch
+from cak.engines.nd import _ModuleSearch, _resolve_partition
 
 LETTERS = {"g": Color.GRAY, "b": Color.BLACK, "w": Color.WHITE}
 
@@ -117,7 +117,7 @@ def count_keyed_nd(g, turn, partition=None, restrict_to=None, short_circuit=True
     alive mask; the driver and the candidate moves are the engine's. The
     two keys merge the same positions exactly when the moves keep every
     module's survivors canonical, and then every counter agrees."""
-    ms = _ModuleSearch(g, partition, restrict_to)
+    ms = _ModuleSearch(g, _resolve_partition(g, partition), restrict_to)
 
     def key(mask, side):
         return tuple((mask & mm).bit_count() for mm in ms.module_masks)

@@ -3,10 +3,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cak import Player, gen_grid, solve_naive, solve_nd, solve_subset, solve_tree, solve_vc
+from cak import (
+    Player,
+    count_nd_positions,
+    count_subset_positions,
+    gen_grid,
+    solve_naive,
+    solve_nd,
+    solve_subset,
+    solve_tree,
+    solve_vc,
+)
 from cak.engines import nd as nd_engine, subset as subset_engine, vc as vc_engine
 from cak.engines.tree import check_gray_forest
-from cak.params import min_vertex_cover
+from cak.params import min_vertex_cover, nd_partition
 
 from _oracles import build, twin_blowups
 
@@ -72,7 +82,7 @@ def test_nd_under_a_finer_partition_agrees_with_naive(case):
 SOLVE_AND_FULL = (
     (solve_subset, lambda g, turn: subset_engine._run(g, turn, g.n, short_circuit=False)),
     (solve_vc, lambda g, turn: vc_engine._run(g, turn, None, short_circuit=False)),
-    (solve_nd, lambda g, turn: nd_engine._run(g, turn, None, short_circuit=False)),
+    (solve_nd, lambda g, turn: nd_engine._run(g, turn, nd_partition(g).modules, short_circuit=False)),
 )
 
 
@@ -91,10 +101,44 @@ def test_inner_order_leaves_winner_and_move_alone(case):
     assert_order_independent(case[0])
 
 
-@pytest.mark.parametrize("variant", ["cram", "domineering"])
-@pytest.mark.parametrize("rows, cols", [(2, 3), (3, 3), (2, 5), (3, 4)])
+GRIDS = pytest.mark.parametrize("rows, cols", [(2, 3), (3, 3), (2, 5), (3, 4)])
+VARIANTS = pytest.mark.parametrize("variant", ["cram", "domineering"])
+
+
+@VARIANTS
+@GRIDS
 def test_inner_order_leaves_grid_answers_alone(variant, rows, cols):
     assert_order_independent(gen_grid(rows, cols, variant))
+
+
+def triple(stats):
+    return (stats.node_expansions, stats.memo_hits, stats.distinct_keys)
+
+
+def assert_subset_is_nd_on_single_vertices(g):
+    singles = [[v] for v in g.alive_vertices()]
+    for turn in Player:
+        out, want = solve_subset(g, turn), solve_nd(g, turn, partition=singles)
+        assert (out.winner, out.winning_move, triple(out.stats)) == (
+            want.winner,
+            want.winning_move,
+            triple(want.stats),
+        )
+        counted = count_subset_positions(g, turn)
+        assert triple(counted) == triple(count_nd_positions(g, turn, partition=singles))
+
+
+@VARIANTS
+@GRIDS
+def test_subset_is_nd_on_the_one_vertex_partition_on_grids(variant, rows, cols):
+    """Not merely the same answer: the same search, node for node."""
+    assert_subset_is_nd_on_single_vertices(gen_grid(rows, cols, variant))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(positions())
+def test_subset_is_nd_on_the_one_vertex_partition(case):
+    assert_subset_is_nd_on_single_vertices(case[0])
 
 
 def test_root_reports_the_smallest_edge_not_the_smallest_mask():

@@ -6,7 +6,11 @@ the key up inside the call; the subset solve triples were recorded
 again when subset began to try, below the root, the edges that destroy
 the most opponent edges first, and the vc solve triples when vc stopped
 sorting the candidates of inner positions (it now tries its
-cover-internal edges first, then the class moves in table order). Any
+cover-internal edges first, then the class moves in table order), and
+the nd solve triples when nd took subset's order (subset became nd on
+the one-vertex partition): each side's module pairs sorted once by how
+many opponent edges their edges destroy, the pairs of two one-vertex
+modules, fixed edges, first. Any
 change to how the driver visits positions must reproduce them
 exactly: the search tree, the memo and the counts are part of what the
 CLI prints. Count mode evaluates every child, so its triples do not
@@ -33,7 +37,6 @@ from cak import (
     solve_vc,
 )
 from cak.engines import nd as nd_engine
-from cak.engines import subset as subset_engine
 from cak.engines.common import search
 from cak.generators import lower_nd_clique_vertices
 
@@ -86,7 +89,7 @@ def test_nd_accounting():
     g = gen_lower_nd(3, 4)
     assert triple(count_nd_positions(g, Player.B)) == (1954, 1590, 364)
     out = solve_nd(g, Player.W)
-    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.W, (0, 1), (171, 88, 83))
+    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.W, (0, 1), (251, 142, 109))
 
 
 @pytest.mark.parametrize("first", list(Player), ids=lambda p: p.value)
@@ -105,13 +108,14 @@ def _identity_keyed(g, turn, key, moves, short_circuit, started):
 @pytest.mark.parametrize(
     "engine, solve, count",
     [
-        (subset_engine, solve_subset, count_subset_positions),
+        (nd_engine, solve_subset, count_subset_positions),
         (nd_engine, solve_nd, count_nd_positions),
     ],
     ids=["subset", "nd"],
 )
 def test_default_key_is_the_alive_mask(engine, solve, count):
-    """subset and nd pass no key, so the search keys them on the alive
+    """subset and nd pass no key (subset runs nd's search, so engine is
+    the module that calls it), so the search keys them on the alive
     mask; an explicit identity key must give the same winner, move and
     triple in solve and in count mode."""
     boards = [gen_grid(3, 3), gen_grid(2, 5), gen_grid(3, 4, "domineering"), gen_lower_nd(3, 2)]
