@@ -2,20 +2,19 @@
 
 Positions decompose over components, values XOR, and one component's
 value is a mex over its moves. Components are memoized by vertex set,
-then by rooted shape, then under a canonical form (the centroid-rooted
-AHU code; Aho, Hopcroft & Ullman 1974), so isomorphic subtrees arising
-anywhere in the search share one evaluation. The code comes from one
-BFS that reads the centroid off the subtree sizes. Only the root
-position (and, when solving, its children) is split into components;
-the components a move leaves, and their rooted shapes as interned ids,
-are read off one rooted BFS of the component it is played in, so a new
-vertex set is coded only when its rooted shape is new.
+then by one key: a component a move leaves by its rooted shape, and a
+root component by a canonical form (the centroid-rooted AHU code; Aho,
+Hopcroft & Ullman 1974), so parts of one rooted shape arising anywhere
+in the search share one evaluation. Only the root position (and, when
+solving, its children) is split into components and coded; the
+components a move leaves, and their rooted shapes as interned ids, are
+read off one rooted BFS of the component it is played in.
 
 Also counts, for a rooted tree, how many non-isomorphic rooted subtrees
 survive at the root under play-like removals: matchings whose matched
 vertices disappear (the vertex pairs of Arc Kayles moves), and closed
 neighborhoods of independent sets (Node Kayles moves). These counts are
-what bounds the canonical-form memo.
+what bounds the rooted-shape memo.
 """
 
 from __future__ import annotations
@@ -188,34 +187,31 @@ def _forest_search(
 ) -> tuple[int, Optional[tuple[int, int]], SearchStats]:
     """Value of the forest position g and, with solve and a nonzero value,
     the smallest edge to a child of value zero. Each component is probed
-    by vertex set, then (when a move left it) by rooted shape, then by
-    canonical code, and its moves are expanded only when all three miss.
-    Only the root position and, in solve mode, its children are split
-    into components; below them, a move's components and their shapes
-    come from the parent component's rooted BFS (`_move_parts`). The
-    callers probe by vertex set, so a memo hit costs no call, and a move
-    nests exactly two calls (evaluate, then children): a comprehension
-    there would add a frame on the Pythons that do not inline it."""
+    by vertex set, then by one key, and its moves are expanded when both
+    miss. The key is the rooted shape id of a part a move left, and the
+    canonical code of a root component: an int never equals a str, so
+    the two cannot collide. Only the root position and, in solve mode,
+    its children are split into components; below them, a move's
+    components and their shapes come from the parent component's rooted
+    BFS (`_move_parts`). The callers probe by vertex set, so a memo hit
+    costs no call, and a move nests exactly two calls (evaluate, then
+    children): a comprehension there would add a frame on the Pythons
+    that do not inline it."""
     t0 = perf_counter()
     check_gray_forest(g)
     mask = g.alive
     nbr = g.neighbor_masks()
     by_mask: dict[int, int] = {}  # component mask -> value
-    by_shape: dict[int, int] = {}  # rooted shape id -> value
-    by_code: dict[str, int] = {}  # canonical code -> value
+    by_key: dict[int | str, int] = {}  # rooted shape id or canonical code -> value
     ids: dict[tuple[int, ...], int] = {}  # children's shape ids -> shape id
     nodes = 0
 
     def evaluate(comp: int, shape: Optional[int]) -> int:
         """Value of a component that missed by vertex set."""
-        value = by_shape.get(shape)
+        key = tree_component_code(g, comp) if shape is None else shape
+        value = by_key.get(key)
         if value is None:
-            code = tree_component_code(g, comp)
-            value = by_code.get(code)
-            if value is None:
-                value = by_code[code] = children(comp)
-            if shape is not None:
-                by_shape[shape] = value
+            value = by_key[key] = children(comp)
         by_mask[comp] = value
         return value
 
@@ -250,9 +246,9 @@ def _forest_search(
                 if mask & em == em and forest(mask ^ em) == 0:
                     move = (u, v)
                     break
-    # Every miss stores one new code (its moves reach only smaller
+    # Every miss stores one new key (its moves reach only smaller
     # components), so the visits that are not misses are the memo hits.
-    keys = len(by_code)
+    keys = len(by_key)
     return value, move, SearchStats(nodes, nodes - keys, keys, perf_counter() - t0)
 
 
