@@ -9,9 +9,11 @@ tree    Sprague-Grundy on gray forests, canonical-form memo
 
 vc and nd share one memoized search (common.search) and differ only in
 their candidate moves, edge masks whose (u, v) the root reads off the
-winning one; subset is nd's search, every module one vertex. The
-search keys a position on its alive mask; vc alone supplies a key,
-because it merges isomorphic positions.
+winning one; subset is nd's search, every module one vertex. Each hands
+the search a builder for its set-up, which the search times as part of
+elapsed. The search keys a position on its alive mask; vc alone
+supplies a key, because it merges isomorphic positions. subset refuses
+n over max_n, nd a key space over 2^32.
 """
 
 from inspect import signature

@@ -6,7 +6,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..graph import Color, ColoredGraph, Player, bits
 
@@ -71,21 +71,19 @@ def recursion_capacity() -> Iterator[None]:
 
 
 def search(
-    g: ColoredGraph,
-    turn: Player,
-    key: Optional[Callable[[int, int], Hashable]],
-    moves: Callable[[int, int, Hashable], Sequence[Move]],
-    short_circuit: bool,
-    started: float,
+    g: ColoredGraph, turn: Player, build: Callable[[], Any], short_circuit: bool
 ) -> Outcome:
     """Memoized win/loss search from g's alive vertices, turn to move.
 
-    The side to move is an index into PLAYERS (0 = B, 1 = W), and the
-    opponent of side is side ^ 1. moves(mask, side, k) lists the edge
-    masks of a position's candidate moves when its key k missed the memo;
-    one whose endpoints are not both alive is skipped. The key is the
-    alive mask when key is None, else key(mask, side): the class of
-    positions sharing a game value, for an engine that canonicalizes.
+    build() makes the engine's set-up (cover, partition, tables) and
+    returns an object with key and candidates; the clock starts before
+    it, so set-up counts in the elapsed time. The side to move is an
+    index into PLAYERS (0 = B, 1 = W), and the opponent of side is
+    side ^ 1. candidates(mask, side, k) lists the edge masks of a
+    position's candidate moves when its key k missed the memo; one whose
+    endpoints are not both alive is skipped. The key is the alive mask
+    when key is None, else key(mask, side): the class of positions
+    sharing a game value, for an engine that canonicalizes.
     Every move removes two vertices, so within one search the number of
     alive vertices fixes the side to move; a key may leave the side out
     only when it fixes that number, as the mask does.
@@ -94,12 +92,13 @@ def search(
     33, (1, 2) is 6), so the first losing child it meets is the smallest
     winning move, whose (u, v) it reads off the mask. An inner position
     needs only whether its mover wins, so it tries its candidates in
-    the order moves makes them. With short_circuit off, every child is
-    evaluated, so the stats cover the whole memoized recursion tree
-    whatever the order. started is the perf_counter() reading the
-    elapsed time is measured from, so an engine's set-up (cover,
-    partition) counts too.
+    the order candidates makes them. With short_circuit off, every child
+    is evaluated, so the stats cover the whole memoized recursion tree
+    whatever the order.
     """
+    started = perf_counter()
+    engine = build()
+    key, moves = engine.key, engine.candidates
     memo: dict = {}
     nodes, hits = 1, 0  # the root is visited and is never a memo hit
 

@@ -8,7 +8,8 @@ starts with every module fully alive and each move removes the lowest
 alive members of the modules it plays in, so the mask and those counts
 determine each other on every position reached. Every move removes two
 vertices, so within one search the mask also fixes the side to move.
-The key space has size at most prod(|M_i| + 1).
+The key space has size at most prod(|M_i| + 1); a partition that puts
+it over 2^MAX_KEY_BITS, subset's default limit, is refused.
 
 Between two modules adjacency is uniform (every pair or no pair, one
 color), and inside a module likewise, so one candidate edge per module
@@ -28,12 +29,16 @@ pair is fixed: that search is the subset engine.
 from __future__ import annotations
 
 from itertools import chain
-from time import perf_counter
+from math import log2, prod
 from typing import Iterable, Optional, Sequence
 
 from ..graph import Color, ColoredGraph, Player, VertexError, bits
 from ..params import ModulePartition, nd_partition
-from .common import PLAYABLE, Move, Outcome, SearchStats, search
+from .common import PLAYABLE, CapacityError, Move, Outcome, SearchStats, search
+
+# The largest key space, in bits, an alive-mask search takes: subset's
+# default max_n, and nd's bound on log2 prod(|M_i| + 1).
+MAX_KEY_BITS = 32
 
 
 def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...]:
@@ -76,6 +81,8 @@ def _destroyed(em: Move, opp: list[int]) -> int:
 
 
 class _ModuleSearch:
+    key = None  # the search keys a position on its alive mask
+
     def __init__(self, g: ColoredGraph, modules, restrict_to: Optional[Iterable[int]]):
         self.module_masks = tuple(sum(1 << v for v in m) for m in modules)
         edges = g.edges
@@ -133,26 +140,26 @@ class _ModuleSearch:
         return moves
 
 
-def _run(
-    g: ColoredGraph,
-    turn: Player,
-    modules: tuple[tuple[int, ...], ...],
-    short_circuit: bool,
-    restrict_to: Optional[Iterable[int]] = None,
-    started: Optional[float] = None,
-) -> Outcome:
-    """The search over resolved modules; set-up is timed from started."""
-    t0 = perf_counter() if started is None else started
-    ms = _ModuleSearch(g, modules, restrict_to)
-    return search(g, turn, None, ms.candidates, short_circuit, t0)
+def _build(
+    g: ColoredGraph, partition, restrict_to: Optional[Iterable[int]] = None
+) -> _ModuleSearch:
+    """The search over the resolved partition, refused when its key
+    space bound prod(|M_i| + 1) is over 2^MAX_KEY_BITS."""
+    modules = _resolve_partition(g, partition)
+    bound = prod(len(m) + 1 for m in modules)
+    if bound > 1 << MAX_KEY_BITS:
+        raise CapacityError(
+            f"nd engine keys up to prod(|M_i|+1) = 2^{log2(bound):.1f} positions;"
+            f" the limit is 2^{MAX_KEY_BITS}"
+        )
+    return _ModuleSearch(g, modules, restrict_to)
 
 
 def solve_nd(g: ColoredGraph, turn: Player, partition=None) -> Outcome:
     """Solve with a supplied module partition (validated: pairwise
     colored twins covering the alive vertices) or the computed coarsest
     one."""
-    t0 = perf_counter()
-    return _run(g, turn, _resolve_partition(g, partition), True, started=t0)
+    return search(g, turn, lambda: _build(g, partition), short_circuit=True)
 
 
 def count_nd_positions(
@@ -164,5 +171,4 @@ def count_nd_positions(
     """Full-expansion instrumentation; optionally restrict moves to edges
     inside a vertex set (a union of modules), as in the clique-family
     state-space experiment."""
-    t0 = perf_counter()
-    return _run(g, turn, _resolve_partition(g, partition), False, restrict_to, t0).stats
+    return search(g, turn, lambda: _build(g, partition, restrict_to), short_circuit=False).stats

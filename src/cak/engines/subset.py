@@ -12,26 +12,26 @@ from __future__ import annotations
 
 from ..graph import ColoredGraph, Player
 from . import nd
-from .common import CapacityError, Outcome, SearchStats
+from .common import CapacityError, Outcome, SearchStats, search
 
-DEFAULT_MAX_N = 32
+DEFAULT_MAX_N = nd.MAX_KEY_BITS
 
 
-def _run(g: ColoredGraph, turn: Player, max_n: int, short_circuit: bool) -> Outcome:
+def _build(g: ColoredGraph, max_n: int) -> nd._ModuleSearch:
     if g.n > max_n:
         raise CapacityError(
             f"subset engine keys {max_n}-bit masks; instance has n={g.n}"
             " (raise max_n explicitly if you mean it)"
         )
     # One-vertex modules are colored twins trivially, so nothing to check.
-    return nd._run(g, turn, tuple((v,) for v in g.alive_vertices()), short_circuit)
+    return nd._ModuleSearch(g, tuple((v,) for v in g.alive_vertices()), None)
 
 
 def solve_subset(g: ColoredGraph, turn: Player, max_n: int = DEFAULT_MAX_N) -> Outcome:
-    return _run(g, turn, max_n, short_circuit=True)
+    return search(g, turn, lambda: _build(g, max_n), short_circuit=True)
 
 
 def count_subset_positions(g: ColoredGraph, turn: Player, max_n: int = DEFAULT_MAX_N) -> SearchStats:
     """Full-expansion instrumentation: every child is evaluated, so
     node_expansions counts the entire memoized recursion tree."""
-    return _run(g, turn, max_n, short_circuit=False).stats
+    return search(g, turn, lambda: _build(g, max_n), short_circuit=False).stats

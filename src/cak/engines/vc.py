@@ -32,7 +32,6 @@ the moves are read off the same rows.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Iterable, Optional
 
 from ..graph import ColoredGraph, Player, bits, resolve_alive
@@ -117,19 +116,11 @@ def vc_canonical_key(
     return _CoverSearch(g, cover).key(resolve_alive(g, alive), PLAYERS.index(turn))
 
 
-def _run(
-    g: ColoredGraph, turn: Player, cover: Optional[Iterable[int]], short_circuit: bool
-) -> Outcome:
-    t0 = perf_counter()
-    cs = _CoverSearch(g, cover)
-    return search(g, turn, cs.key, cs.candidates, short_circuit, t0)
-
-
 def solve_vc(
     g: ColoredGraph, turn: Player, cover: Optional[Iterable[int]] = None
 ) -> Outcome:
     """Solve with a supplied cover, or a freshly computed minimum one."""
-    return _run(g, turn, cover, short_circuit=True)
+    return search(g, turn, lambda: _CoverSearch(g, cover), short_circuit=True)
 
 
 def count_vc_positions(
@@ -138,4 +129,4 @@ def count_vc_positions(
     """Full-expansion instrumentation: the OR over children is evaluated
     without short-circuiting, so node_expansions counts the entire
     memoized recursion tree."""
-    return _run(g, turn, cover, short_circuit=False).stats
+    return search(g, turn, lambda: _CoverSearch(g, cover), short_circuit=False).stats

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 from itertools import combinations, permutations, product
-from time import perf_counter
 
 from hypothesis import strategies as st
 
@@ -117,12 +116,13 @@ def count_keyed_nd(g, turn, partition=None, restrict_to=None, short_circuit=True
     alive mask; the driver and the candidate moves are the engine's. The
     two keys merge the same positions exactly when the moves keep every
     module's survivors canonical, and then every counter agrees."""
-    ms = _ModuleSearch(g, _resolve_partition(g, partition), restrict_to)
 
-    def key(mask, side):
-        return tuple((mask & mm).bit_count() for mm in ms.module_masks)
+    def build():
+        ms = _ModuleSearch(g, _resolve_partition(g, partition), restrict_to)
+        ms.key = lambda mask, side: tuple((mask & mm).bit_count() for mm in ms.module_masks)
+        return ms
 
-    return search(g, turn, key, ms.candidates, short_circuit, perf_counter())
+    return search(g, turn, build, short_circuit)
 
 
 def random_tree_pairs(rng, n):

@@ -483,6 +483,14 @@ def test_auto_on_a_large_cover_exits_2_from_subset(tmp_path, capsys):
     assert "subset" in stderr
 
 
+@pytest.mark.parametrize("engine", ["nd", "subset"])
+def test_key_space_over_32_bits_exits_2(tmp_path, capsys, engine):
+    f = write_cak(tmp_path, gen_random(40, 0.15, seed=3))
+    code, stdout, stderr = invoke(capsys, "solve", "-f", f, "-e", engine)
+    assert (code, stdout) == (2, "")
+    assert f"{engine} engine keys" in stderr
+
+
 def test_too_deep_nd_search_exits_2(tmp_path, capsys, shallow_stack):
     m = 120
     f = write_cak(tmp_path, build(2 * m, [(u, m + v, "g") for u in range(m) for v in range(m)]))

@@ -14,6 +14,7 @@ from cak import (
     VertexError,
     count_nd_positions,
     gen_lower_nd,
+    gen_random,
     nd_partition,
     solve_nd,
     solve_subset,
@@ -246,3 +247,21 @@ def test_too_deep_search_is_a_capacity_error(shallow_stack):
     shallow_stack(60)
     with pytest.raises(CapacityError, match="recursion limit"):
         solve_nd(g, Player.B)
+
+
+def test_key_space_over_32_bits_is_refused():
+    """nd refuses a partition whose prod(|M_i| + 1) is over 2^32, the
+    subset engine's default limit, before it searches."""
+    g = gen_random(40, 0.15, seed=3)
+    assert nd_partition(g).count == 40
+    for run in (solve_nd, count_nd_positions):
+        with pytest.raises(CapacityError, match=r"^nd engine .* 2\^40\.0 .*the limit is 2\^32$"):
+            run(g, Player.B)
+    # Edgeless graphs: every vertex is a twin, so any partition is valid.
+    with pytest.raises(CapacityError, match=r"2\^33\.0"):
+        solve_nd(ColoredGraph(33, ()), Player.B, partition=[[v] for v in range(33)])
+    at_limit = solve_nd(ColoredGraph(32, ()), Player.B, partition=[[v] for v in range(32)])
+    assert at_limit.winner is Player.W
+    # subset runs the same search on one-vertex modules; a raised max_n
+    # lifts its bound, and nd's does not apply.
+    assert solve_subset(ColoredGraph(40, ()), Player.B, max_n=40).winner is Player.W

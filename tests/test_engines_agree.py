@@ -15,8 +15,9 @@ from cak import (
     solve_vc,
 )
 from cak.engines import nd as nd_engine, subset as subset_engine, vc as vc_engine
+from cak.engines.common import search
 from cak.engines.tree import check_gray_forest
-from cak.params import min_vertex_cover, nd_partition
+from cak.params import min_vertex_cover
 
 from _oracles import build, twin_blowups
 
@@ -80,9 +81,9 @@ def test_nd_under_a_finer_partition_agrees_with_naive(case):
 # depend on the order of the candidates, and its root tries them in
 # sorted order too, so its winning move is the smallest one.
 SOLVE_AND_FULL = (
-    (solve_subset, lambda g, turn: subset_engine._run(g, turn, g.n, short_circuit=False)),
-    (solve_vc, lambda g, turn: vc_engine._run(g, turn, None, short_circuit=False)),
-    (solve_nd, lambda g, turn: nd_engine._run(g, turn, nd_partition(g).modules, short_circuit=False)),
+    (solve_subset, lambda g, turn: search(g, turn, lambda: subset_engine._build(g, g.n), False)),
+    (solve_vc, lambda g, turn: search(g, turn, lambda: vc_engine._CoverSearch(g, None), False)),
+    (solve_nd, lambda g, turn: search(g, turn, lambda: nd_engine._build(g, None), False)),
 )
 
 

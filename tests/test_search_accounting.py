@@ -19,6 +19,7 @@ were recorded with its root loop written apart from its recursion, and
 pin the plain recursion tree the same way.
 """
 
+from time import sleep
 from unittest.mock import patch
 
 import pytest
@@ -36,7 +37,7 @@ from cak import (
     solve_subset,
     solve_vc,
 )
-from cak.engines import nd as nd_engine
+from cak.engines import nd as nd_engine, subset as subset_engine, vc as vc_engine
 from cak.engines.common import search
 from cak.generators import lower_nd_clique_vertices
 
@@ -99,39 +100,71 @@ def test_restricted_nd_accounting(first):
     assert triple(stats) == (34, 20, 14)
 
 
-def _identity_keyed(g, turn, key, moves, short_circuit, started):
-    """common.search as an engine that names its mask key would call it."""
-    assert key is None
-    return search(g, turn, lambda mask, side: mask, moves, short_circuit, started)
-
-
 @pytest.mark.parametrize(
     "engine, solve, count",
     [
-        (nd_engine, solve_subset, count_subset_positions),
+        (subset_engine, solve_subset, count_subset_positions),
         (nd_engine, solve_nd, count_nd_positions),
     ],
     ids=["subset", "nd"],
 )
 def test_default_key_is_the_alive_mask(engine, solve, count):
-    """subset and nd pass no key (subset runs nd's search, so engine is
-    the module that calls it), so the search keys them on the alive
-    mask; an explicit identity key must give the same winner, move and
+    """subset and nd pass no key, so the search keys them on the alive
+    mask; the same search with an explicit identity key, patched into
+    the module that calls it, must give the same winner, move and
     triple in solve and in count mode."""
+    calls = []
+
+    def identity_keyed(g, turn, build, short_circuit):
+        def keyed():
+            engine_setup = build()
+            assert engine_setup.key is None
+            engine_setup.key = lambda mask, side: mask
+            return engine_setup
+
+        calls.append(short_circuit)
+        return search(g, turn, keyed, short_circuit)
+
     boards = [gen_grid(3, 3), gen_grid(2, 5), gen_grid(3, 4, "domineering"), gen_lower_nd(3, 2)]
     for g in boards:
         for first in Player:
             out = solve(g, first)
             counted = count(g, first)
-            with patch.object(engine, "search", _identity_keyed):
+            calls.clear()
+            with patch.object(engine, "search", identity_keyed):
                 want = solve(g, first)
                 want_counted = count(g, first)
+            assert calls == [True, False]
             assert (out.winner, out.winning_move, triple(out.stats)) == (
                 want.winner,
                 want.winning_move,
                 triple(want.stats),
             )
             assert triple(counted) == triple(want_counted)
+
+
+@pytest.mark.parametrize(
+    "setup, solve, count",
+    [
+        (nd_engine._ModuleSearch, solve_subset, count_subset_positions),
+        (vc_engine._CoverSearch, solve_vc, count_vc_positions),
+        (nd_engine._ModuleSearch, solve_nd, count_nd_positions),
+    ],
+    ids=["subset", "vc", "nd"],
+)
+def test_setup_counts_in_elapsed(setup, solve, count):
+    """elapsed runs from before the engine's set-up, not from the first
+    node: a set-up slowed by 20 ms shows in it, in both modes."""
+    init = setup.__init__
+
+    def slow_init(self, *args):
+        sleep(0.02)
+        init(self, *args)
+
+    g = gen_grid(2, 3)
+    with patch.object(setup, "__init__", slow_init):
+        assert solve(g, Player.B).stats.elapsed >= 0.02
+        assert count(g, Player.B).elapsed >= 0.02
 
 
 # (board, first player) -> (node_expansions, winner, winning move)
