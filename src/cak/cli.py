@@ -8,6 +8,7 @@ fixed inputs and seeds: timings are only emitted under --timing.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -15,12 +16,14 @@ from typing import Optional
 from .bench import BenchConsistencyError, records_to_csv, run_bench
 from .engines import (
     COUNTERS,
+    DEFAULT_VC_THRESHOLD,
     ENGINE_NAMES,
     GRUNDY,
     count_ak_subtrees,
     count_nk_subtrees,
     select_engine,
 )
+from .engines.subset import DEFAULT_MAX_N
 from .generators import GENERATORS
 from .graph import Player, VertexError, parse_graph, serialize_graph
 from .params import equivalence_classes, min_vertex_cover, nd_partition
@@ -162,6 +165,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process, however often main() runs in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cak",
@@ -178,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=ENGINE_NAMES,
     )
-    p.add_argument("--max-n", type=int, help="subset engine capacity (default 32)")
+    p.add_argument("--max-n", type=int, help=f"subset engine capacity (default {DEFAULT_MAX_N})")
     p.add_argument("--cover", help="comma-separated 1-based cover for the vc engine")
     p.add_argument("--partition", help="JSON file of 1-based modules for the nd engine")
     p.add_argument(
@@ -186,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=f"full-expansion instrumentation (no short-circuit; {'/'.join(COUNTERS)})",
     )
-    p.add_argument("--vc-threshold", type=int, default=8, help="auto: use vc when tau <= this")
+    p.add_argument(
+        "--vc-threshold", type=int, default=DEFAULT_VC_THRESHOLD, help="auto: use vc when tau <= this"
+    )
     p.add_argument("--timing", action="store_true", help="include elapsed seconds")
     p.set_defaults(func=_cmd_solve)
 

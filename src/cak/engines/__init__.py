@@ -51,9 +51,10 @@ COUNTERS = {
 }
 GRUNDY = {"naive": grundy_naive, "tree": grundy_tree}
 ENGINE_NAMES = (*SOLVERS, "auto")
+DEFAULT_VC_THRESHOLD = 8  # auto picks vc when a cover of at most this size exists
 
 
-def pick_auto_engine(g: ColoredGraph, vc_threshold: int = 8) -> str:
+def pick_auto_engine(g: ColoredGraph, vc_threshold: int = DEFAULT_VC_THRESHOLD) -> str:
     """tree for gray forests, vc for small covers, subset otherwise."""
     try:
         check_gray_forest(g)
@@ -70,7 +71,7 @@ def select_engine(
     name: str,
     g: ColoredGraph,
     count_mode: bool,
-    vc_threshold: int = 8,
+    vc_threshold: int = DEFAULT_VC_THRESHOLD,
     options: Iterable[str] = (),
 ) -> tuple[str, Callable]:
     """The engine name stands for on g ("auto" picks one) and its
@@ -91,6 +92,7 @@ def select_engine(
 
 __all__ = [
     "COUNTERS",
+    "DEFAULT_VC_THRESHOLD",
     "ENGINE_NAMES",
     "GRUNDY",
     "SOLVERS",

@@ -2,13 +2,15 @@
 
 Positions decompose over components, values XOR, and one component's
 value is a mex over its moves. Components are memoized by vertex set,
-then by one key: a component a move leaves by its rooted shape, and a
-root component by a canonical form (the centroid-rooted AHU code; Aho,
-Hopcroft & Ullman 1974), so parts of one rooted shape arising anywhere
-in the search share one evaluation. Only the root position (and, when
-solving, its children) is split into components and coded; the
-components a move leaves, and their rooted shapes as interned ids, are
-read off one rooted BFS of the component it is played in.
+then by one rooted shape id: the interned sorted tuple of the children's
+ids, the AHU canonical form (Aho, Hopcroft & Ullman 1974) with integers.
+A part a move leaves is keyed by its shape rooted where it hangs off the
+move, a root component by its shape rooted at a centroid, so components
+of one rooted shape arising anywhere in the search share one evaluation.
+Only the root position is split into components; the components a move
+leaves, and their ids, are read off one rooted BFS of the component it
+is played in. `tree_component_code` decodes the same ids into the
+centroid-rooted AHU string.
 
 Also counts, for a rooted tree, how many non-isomorphic rooted subtrees
 survive at the root under play-like removals: matchings whose matched
@@ -20,24 +22,22 @@ what bounds the rooted-shape memo.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..graph import Color, ColoredGraph, Player
 from .common import Outcome, SearchStats, mex, recursion_capacity, split_components
 
 
-def check_gray_forest(g: ColoredGraph) -> None:
-    """Raise ValueError unless g is an all-gray forest: a graph is
-    acyclic iff its edges number its vertices minus its components."""
+def check_gray_forest(g: ColoredGraph) -> list[int]:
+    """The components of the all-gray forest g (`split_components`);
+    raise ValueError unless g is one: a graph is acyclic iff its edges
+    number its vertices minus its components."""
     if any(c is not Color.GRAY for _, _, c in g.edges):
         raise ValueError("tree engine needs an all-gray position")
     comps = split_components(g.alive, g.neighbor_masks())
     if g.m != sum(comp.bit_count() - 1 for comp in comps):
         raise ValueError("not a forest: alive subgraph contains a cycle")
-
-
-def _code_from_combo(kept: Iterable[str]) -> str:
-    return "(" + "".join(sorted(kept)) + ")"
+    return comps
 
 
 def _bfs(
@@ -64,88 +64,57 @@ def _bfs(
 def tree_component_code(g: ColoredGraph, comp: int) -> str:
     """Canonical form of one tree component: the AHU code rooted at the
     centroid; with two centroids, the smaller of the two rooted codes.
-
-    One BFS from the lowest vertex gives the subtree sizes. The vertices
-    whose subtree holds at least half of comp form a chain down from the
-    root (two at one depth would hold every vertex but the root between
-    them), and its last vertex c is a centroid; parent[c] is a second
-    one exactly when c's subtree holds half. Off the chain, a vertex has
-    the same children from either root, so those codes are built bottom
-    up in the same pass as the sizes. Each chain vertex, rooted at c,
-    is then one more child of the next one down.
-    """
-    order, parent = _bfs(g.neighbor_masks(), comp, (comp & -comp).bit_length() - 1)
-    total = len(order)
-    size = dict.fromkeys(order, 1)
-    kids: dict[int, list[str]] = {v: [] for v in order}
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0:
-            size[p] += size[v]
-            if 2 * size[v] < total:
-                kids[p].append(_code_from_combo(kids[v]))
-    chain = [v for v in order if 2 * size[v] >= total]
-    for above, below in zip(chain, chain[1:]):
-        kids[below].append(_code_from_combo(kids[above]))
-    c = chain[-1]
-    code = _code_from_combo(kids[c])
-    if 2 * size[c] != total:
-        return code
-    # Re-root at the twin parent[c]: its branch is the last of c's
-    # children, and c without it becomes one more child of the twin.
-    kids[c].pop()
-    twin = parent[c]
-    kids[twin].append(_code_from_combo(kids[c]))
-    return min(code, _code_from_combo(kids[twin]))
+    It decodes the component's centroid-rooted shape ids (`_move_parts`):
+    an id's children have smaller ids, so codes are built in id order."""
+    ids: dict[tuple[int, ...], int] = {}
+    centroids = _move_parts(comp, g.neighbor_masks(), ids)[2]()
+    codes: list[str] = []
+    for children in ids:
+        codes.append("(" + "".join(sorted([codes[i] for i in children])) + ")")
+    return min(codes[i] for i in centroids)
 
 
 def _move_parts(
     comp: int, nbr: Sequence[int], ids: dict[tuple[int, ...], int]
-) -> tuple[Iterator[tuple[int, int, list[int]]], Callable[[int, int, int], int]]:
-    """Each edge (u, v), u < v, of the tree component comp, with the
-    components of two or more vertices that playing it leaves; and a
-    function giving each such part's rooted shape id.
+) -> tuple[Callable[[], Iterator[tuple[int, int, list[int]]]], Callable, Callable[[], list[int]]]:
+    """Three readings of one BFS of the tree component comp from its
+    lowest vertex, which gives the subtree masks and their rooted shape
+    ids bottom up; equal ids mean equal rooted shapes wherever the ids
+    table is shared.
 
-    One BFS from comp's lowest vertex gives the subtree masks bottom up.
-    Playing the tree edge from p down to v leaves the subtrees of v's
-    children, those of p's other children and the rest of comp above p
-    (empty when p is the root). Edges come sorted and each edge's parts
-    by lowest vertex, the order `split_components` gives, so the search
-    meets components in the same order as if it split each child. The
-    parts of an edge are built when it is reached: the generator is
-    suspended, not on the stack, while the search recurses into them,
-    and a search that fails deep builds only the moves it tried.
+    moves() yields each edge (u, v), u < v, with the components of two or
+    more vertices that playing it leaves. Playing the tree edge from p
+    down to v leaves the subtrees of v's children, those of p's other
+    children and the rest of comp above p (empty when p is the root).
+    Edges come sorted and each edge's parts by lowest vertex, as if
+    `split_components` split each child. The parts of an edge are built
+    when it is reached: the generator is suspended, not on the stack,
+    while the search recurses into them.
 
-    shape(part, u, v) is the rooted shape id of a part that playing
-    (u, v) leaves, rooted where the part hangs off the edge: the interned
-    sorted tuple of its children's ids (AHU with integers), so equal ids
-    mean equal rooted shapes wherever the ids table is shared. The first
-    call interns every subtree bottom up. The part above p hangs at
-    q = parent[p] and is q's other subtrees plus q's own part above, so
-    a call walks up to a vertex whose part above is known or hangs off
-    the root, then interns back down."""
+    shape(part, u, v) is the id of a part that playing (u, v) leaves,
+    rooted where the part hangs off the edge; centroids() is the ids of
+    comp rooted at each of its one or two centroids."""
     order, parent = _bfs(nbr, comp, (comp & -comp).bit_length() - 1)
     sub = {v: 1 << v for v in order}
-    kids: dict[int, list[int]] = {v: [] for v in order}
+    kids: dict[int, list[int]] = {v: [] for v in order}  # v -> its children's masks
+    kid_ids: dict[int, list[int]] = {v: [] for v in order}  # v -> its children's ids
+    down: dict[int, int] = {}  # v -> id of sub[v], rooted at v
+    up: dict[int, int] = {}  # p -> id of comp ^ sub[p], rooted at parent[p]
     for v in reversed(order):
         p = parent[v]
         if p >= 0:
             sub[p] |= sub[v]
             kids[p].append(sub[v])
-    down: dict[int, int] = {}  # v -> id of sub[v], rooted at v
-    kid_ids: dict[int, list[int]] = {v: [] for v in order}  # v -> its children's ids
-    up: dict[int, int] = {}  # p -> id of comp ^ sub[p], rooted at parent[p]
+            key = kid_ids[v]
+            key.sort()
+            down[v] = ids.setdefault(tuple(key), len(ids))
+            kid_ids[p].append(down[v])
 
-    def shape(part: int, u: int, w: int) -> int:
-        if not down:
-            for v in order[:0:-1]:  # bottom up; no part is all of comp
-                key = kid_ids[v]
-                key.sort()
-                down[v] = ids.setdefault(tuple(key), len(ids))
-                kid_ids[parent[v]].append(down[v])
-        if not part & comp & -comp:  # a subtree, rooted next to u or w
-            return down[(part & (nbr[u] | nbr[w])).bit_length() - 1]
-        chain = [u if parent[w] == u else w]  # part is the part above chain[0]
+    def above(p: int) -> int:
+        """up[p]: the part above p hangs at q = parent[p] and is q's other
+        subtrees plus q's own part above, so walk up to a vertex whose
+        part above is known or hangs off the root, then intern back down."""
+        chain = [p]
         while chain[-1] not in up and parent[parent[chain[-1]]] >= 0:
             chain.append(parent[chain[-1]])
         for p in reversed(chain):
@@ -157,6 +126,25 @@ def _move_parts(
                     around.append(up[q])
                 up[p] = ids.setdefault(tuple(sorted(around)), len(ids))
         return up[chain[0]]
+
+    def shape(part: int, u: int, w: int) -> int:
+        if not part & comp & -comp:  # a subtree, rooted next to u or w
+            return down[(part & (nbr[u] | nbr[w])).bit_length() - 1]
+        return above(u if parent[w] == u else w)
+
+    def centroids() -> list[int]:
+        """The vertices whose subtree holds at least half of comp form a
+        chain down from the root (two at one depth would hold every vertex
+        but the root between them), and its last vertex c is a centroid;
+        parent[c] is a second one exactly when c's subtree holds half.
+        Rooted at v, comp's children are v's subtrees and the part above."""
+        size = len(order)
+        c = [v for v in order if 2 * sub[v].bit_count() >= size][-1]
+        rooted = []
+        for v in (c, parent[c]) if 2 * sub[c].bit_count() == size else (c,):
+            around = kid_ids[v] + [above(v)] if parent[v] >= 0 else kid_ids[v]
+            rooted.append(ids.setdefault(tuple(sorted(around)), len(ids)))
+        return rooted
 
     def moves() -> Iterator[tuple[int, int, list[int]]]:
         rest = comp
@@ -174,78 +162,80 @@ def _move_parts(
                 parts = [s for s in kids[v] + kids[p] if s != below and s & (s - 1)]
                 if len(parts) > 1:
                     parts.sort(key=lambda s: s & -s)
-                above = comp & ~sub[p]
-                if above & (above - 1):
-                    parts.insert(0, above)  # it holds the root, comp's lowest vertex
+                rest_above = comp & ~sub[p]
+                if rest_above & (rest_above - 1):
+                    parts.insert(0, rest_above)  # it holds the root, comp's lowest vertex
                 yield u, w, parts
 
-    return moves(), shape
+    return moves, shape, centroids
 
 
 def _forest_search(
     g: ColoredGraph, solve: bool
 ) -> tuple[int, Optional[tuple[int, int]], SearchStats]:
     """Value of the forest position g and, with solve and a nonzero value,
-    the smallest edge to a child of value zero. Each component is probed
-    by vertex set, then by one key, and its moves are expanded when both
-    miss. The key is the rooted shape id of a part a move left, and the
-    canonical code of a root component: an int never equals a str, so
-    the two cannot collide. Only the root position and, in solve mode,
-    its children are split into components; below them, a move's
-    components and their shapes come from the parent component's rooted
-    BFS (`_move_parts`). The callers probe by vertex set, so a memo hit
-    costs no call, and a move nests exactly two calls (evaluate, then
-    children): a comprehension there would add a frame on the Pythons
-    that do not inline it."""
+    the smallest edge to a child of value zero. A component is probed by
+    vertex set, then by its shape id, and its moves are expanded when both
+    miss; in solve mode the root's children are its components' moves.
+    The callers probe by vertex set, so a memo hit costs no call, and a
+    move nests exactly two calls (evaluate, then move_values): a
+    comprehension there would add a frame on the Pythons that do not
+    inline it."""
     t0 = perf_counter()
-    check_gray_forest(g)
-    mask = g.alive
     nbr = g.neighbor_masks()
     by_mask: dict[int, int] = {}  # component mask -> value
-    by_key: dict[int | str, int] = {}  # rooted shape id or canonical code -> value
+    by_key: dict[int, int] = {}  # rooted shape id -> value
     ids: dict[tuple[int, ...], int] = {}  # children's shape ids -> shape id
     nodes = 0
 
-    def evaluate(comp: int, shape: Optional[int]) -> int:
-        """Value of a component that missed by vertex set."""
-        key = tree_component_code(g, comp) if shape is None else shape
+    def evaluate(comp: int, key: int, tables: Optional[tuple] = None) -> int:
+        """Value of a component that missed by vertex set; tables are its
+        `_move_parts`, built by move_values if not given."""
         value = by_key.get(key)
         if value is None:
-            value = by_key[key] = children(comp)
+            values = set()
+            for _, _, total in move_values(comp, tables):
+                values.add(total)
+            value = by_key[key] = mex(values)
         by_mask[comp] = value
         return value
 
-    def children(comp: int) -> int:
+    def move_values(comp: int, tables: Optional[tuple]) -> Iterator[tuple[int, int, int]]:
+        """Each move (u, w) of comp with the XOR of the values of the
+        parts it leaves."""
         nonlocal nodes
-        values = set()
-        moves, shape = _move_parts(comp, nbr, ids)
-        for u, w, parts in moves:
+        moves, shape, _ = tables or _move_parts(comp, nbr, ids)
+        for u, w, parts in moves():
             nodes += len(parts)
             total = 0
             for part in parts:
                 value = by_mask.get(part)
                 total ^= evaluate(part, shape(part, u, w)) if value is None else value
-            values.add(total)
-        return mex(values)
+            yield u, w, total
 
-    def forest(mask: int) -> int:
+    def root(comp: int) -> int:
+        """Value of a root component, keyed by the smaller of its
+        centroid-rooted ids; its tables are kept for solve mode."""
         nonlocal nodes
-        total = 0
-        for comp in split_components(mask, nbr):
-            nodes += 1
-            value = by_mask.get(comp)
-            total ^= evaluate(comp, None) if value is None else value
-        return total
+        nodes += 1
+        tables = roots[comp] = _move_parts(comp, nbr, ids)
+        return evaluate(comp, min(tables[2]()), tables)
 
+    roots: dict[int, tuple] = {}  # root component -> its _move_parts
+    value = 0
     move = None
     with recursion_capacity():
-        value = forest(mask)
+        for comp in check_gray_forest(g):
+            value ^= root(comp)
         if solve and value:
-            for u, v, _ in g.edges:
-                em = 1 << u | 1 << v
-                if mask & em == em and forest(mask ^ em) == 0:
-                    move = (u, v)
-                    break
+            # A move in comp leaves a zero child iff its parts XOR to rest,
+            # the value of the other root components.
+            for comp, tables in roots.items():
+                rest = value ^ by_mask[comp]
+                for u, w, total in move_values(comp, tables):
+                    if total == rest:
+                        move = min(move or (u, w), (u, w))
+                        break
     # Every miss stores one new key (its moves reach only smaller
     # components), so the visits that are not misses are the memo hits.
     keys = len(by_key)
@@ -286,20 +276,26 @@ def _rooted_tree(g: ColoredGraph, root: int) -> tuple[list[int], dict[int, list[
     return order, children
 
 
-def _kept_shapes(
-    children: list[int], shapes: dict[int, set[str]], vanishes: dict[int, bool]
-) -> set[str]:
-    """Rooted shapes a vertex can keep: each child stays with one of its
-    own shapes, or disappears entirely where vanishes[child] holds. The
-    children join one at a time, each kept choice a sorted multiset of
-    child shapes, so equal partial choices merge before the next child."""
-    partial: set[tuple[str, ...]] = {()}
-    for c in children:
-        grown = {tuple(sorted(kept + (shape,))) for kept in partial for shape in shapes[c]}
-        if vanishes[c]:
-            grown |= partial
-        partial = grown
-    return {_code_from_combo(kept) for kept in partial}
+def _count_kept_shapes(
+    order: list[int], children: dict[int, list[int]], vanishes: dict[int, bool]
+) -> int:
+    """Number of rooted shapes the root order[0] can keep, bottom up: each
+    child stays with one of its own shapes, or disappears entirely where
+    vanishes[child] holds. The children join one at a time, each kept
+    choice a sorted multiset of child shape ids, so equal partial choices
+    merge before the next child; a kept choice is interned as the id of
+    its shape, as in `_move_parts`."""
+    ids: dict[tuple[int, ...], int] = {}
+    shapes: dict[int, set[int]] = {}
+    for v in reversed(order):
+        partial: set[tuple[int, ...]] = {()}
+        for c in children[v]:
+            grown = {tuple(sorted(kept + (shape,))) for kept in partial for shape in shapes[c]}
+            if vanishes[c]:
+                grown |= partial
+            partial = grown
+        shapes[v] = {ids.setdefault(kept, len(ids)) for kept in partial}
+    return len(shapes[order[0]])
 
 
 def count_ak_subtrees(g: ColoredGraph, root: int) -> int:
@@ -313,13 +309,12 @@ def count_ak_subtrees(g: ColoredGraph, root: int) -> int:
                      down to isolated vertices;
       standing[v]  : T_v clears to isolated vertices with v surviving
                      (all children deletable);
-      shapes[v]    : rooted shape codes v can retain; each child is
-                     either kept with one of its shapes or deleted.
+    then the shapes v can retain, each child kept with one of its shapes
+    or deleted.
     """
     order, children = _rooted_tree(g, root)
     deletable: dict[int, bool] = {}
     standing: dict[int, bool] = {}
-    shapes: dict[int, set[str]] = {}
     for v in reversed(order):
         ch = children[v]
         standing[v] = all(deletable[c] for c in ch)
@@ -329,8 +324,7 @@ def count_ak_subtrees(g: ColoredGraph, root: int) -> int:
             and all(clearable[ci] for ci in ch if ci != cj)
             for cj in ch
         )
-        shapes[v] = _kept_shapes(ch, shapes, deletable)
-    return len(shapes[root])
+    return _count_kept_shapes(order, children, deletable)
 
 
 def count_nk_subtrees(g: ColoredGraph, root: int) -> int:
@@ -342,14 +336,12 @@ def count_nk_subtrees(g: ColoredGraph, root: int) -> int:
       dominated_in[v]  : an independent set inside T_v containing v
                          dominates all of T_v;
       dominated_out[v] : same with v excluded from the set;
-      shapes[v]        : rooted shapes v can retain; a child is kept with
-                         one of its shapes or wiped (dominated_out, so the
-                         kept parent is not touched).
+    then the shapes v can retain, a child kept with one of its shapes or
+    wiped (dominated_out, so the kept parent is not touched).
     """
     order, children = _rooted_tree(g, root)
     dominated_in: dict[int, bool] = {}
     dominated_out: dict[int, bool] = {}
-    shapes: dict[int, set[str]] = {}
     for v in reversed(order):
         ch = children[v]
         dominated_in[v] = all(
@@ -358,5 +350,4 @@ def count_nk_subtrees(g: ColoredGraph, root: int) -> int:
         dominated_out[v] = all(
             dominated_in[c] or dominated_out[c] for c in ch
         ) and any(dominated_in[c] for c in ch)
-        shapes[v] = _kept_shapes(ch, shapes, dominated_out)
-    return len(shapes[root])
+    return _count_kept_shapes(order, children, dominated_out)

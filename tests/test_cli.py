@@ -10,7 +10,7 @@ import pytest
 
 from cak import gen_caterpillar_kayles, gen_grid, gen_random, serialize_graph
 from cak.bench import BenchConsistencyError
-from cak.cli import main
+from cak.cli import build_parser, main
 
 from _oracles import build
 
@@ -78,6 +78,17 @@ def test_solve_output_is_byte_stable(tmp_path, capsys):
     _, second, _ = invoke(capsys, "solve", "-f", f, "-e", "subset")
     assert first == second
     assert first == readme_solve_example()
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process, and one call's options do not
+    # carry over to the next
+    assert build_parser() is build_parser()
+    path = write_cak(tmp_path, gen_grid(2, 2))
+    _, first, _ = invoke(capsys, "solve", "-f", path, "--first", "W", "-e", "subset")
+    _, second, _ = invoke(capsys, "solve", "-f", path)
+    assert (json.loads(first)["first"], json.loads(first)["engine"]) == ("W", "subset")
+    assert (json.loads(second)["first"], json.loads(second)["engine"]) == ("B", "vc")
 
 
 def test_output_is_byte_stable_across_hash_seeds(tmp_path):

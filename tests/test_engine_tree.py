@@ -149,7 +149,7 @@ def test_memo_reuses_isomorphic_components():
     # two disjoint copies of the same tree: the second costs one lookup.
     # In the second forest the stars' centres are the lowest and the
     # highest id, so the copies share no layout and only the root
-    # components' canonical codes can merge them.
+    # components' centroid-rooted shape ids can merge them.
     for pairs in (
         [(0, 1), (1, 2), (1, 3)] + [(4, 5), (5, 6), (5, 7)],
         [(0, 1), (0, 2), (0, 3)] + [(4, 7), (5, 7), (6, 7)],
@@ -246,8 +246,8 @@ def moved_parts(g, ids):
     every component of g, the ids interned in the shared table ids."""
     nbr = g.neighbor_masks()
     for comp in split_components(g.alive, nbr):
-        moves, shape = _move_parts(comp, nbr, ids)
-        for u, v, parts in moves:
+        moves, shape, _ = _move_parts(comp, nbr, ids)
+        for u, v, parts in moves():
             for part in parts:
                 yield comp, u, v, part, shape(part, u, v)
 
@@ -256,7 +256,7 @@ def test_move_parts_match_split_components():
     for g in move_parts_cases():
         nbr = g.neighbor_masks()
         for comp in split_components(g.alive, nbr):
-            moves = list(_move_parts(comp, nbr, {})[0])
+            moves = list(_move_parts(comp, nbr, {})[0]())
             inside = [(u, v) for u, v, _ in g.edges if comp >> u & 1 and comp >> v & 1]
             assert [(u, v) for u, v, _ in moves] == inside
             for u, v, parts in moves:
@@ -292,41 +292,46 @@ def test_each_shape_id_has_one_canonical_code():
     assert len(code_of) < parts
 
 
-def test_each_root_component_is_coded_once(monkeypatch):
-    # only a root component is keyed by its canonical code; a part that a
-    # move leaves is keyed by its rooted shape, so nothing below the root
-    # is coded. In solve mode the root's children split into parts that
-    # its moves already met, so they hit by vertex set. With two
-    # isomorphic root components that can fail: the second hits by key,
-    # its moves are never expanded, and a child's parts inside it miss by
-    # vertex set at the root and are coded too. Here the only such pair is
-    # the forest's two 3-vertex paths, whose moves leave no part; more
-    # codings elsewhere would not be wrong.
-    coded = []
+def search_cases():
+    """A long path, a random tree and a forest of five components."""
+    tree = gray_tree(random_tree_pairs(random.Random(1), 28))
+    return [gray_path(80), tree, random_forest(random.Random(7), 30)]
 
-    def counting(g, comp):
-        coded.append(comp)
-        return tree_component_code(g, comp)
 
-    monkeypatch.setattr(tree_engine, "tree_component_code", counting)
+def test_search_never_calls_tree_component_code(monkeypatch):
+    # every component, root or part, is keyed by an interned shape id;
+    # the string code is only a decoding of those ids
+    def refuse(g, comp):
+        raise AssertionError("the search coded a component")
 
-    def roots(g):
-        return len(split_components(g.alive, g.neighbor_masks()))
-
-    g = gray_path(80)
-    assert grundy_tree(g) == 2
-    assert len(coded) == roots(g) == 1
-    for g in (gray_tree(random_tree_pairs(random.Random(1), 28)), random_forest(random.Random(7), 30)):
+    monkeypatch.setattr(tree_engine, "tree_component_code", refuse)
+    for g in search_cases():
+        grundy_tree(g)
         for turn in Player:
-            coded.clear()
-            assert solve_tree(g, turn).winner is turn
-            assert len(coded) == roots(g)
+            solve_tree(g, turn)
+
+
+def test_each_search_splits_the_position_once(monkeypatch):
+    # only the root position is split; in solve mode the root's children
+    # are read off its components' moves, not split again
+    calls = []
+
+    def counting(mask, nbr):
+        calls.append(mask)
+        return split_components(mask, nbr)
+
+    monkeypatch.setattr(tree_engine, "split_components", counting)
+    for g in search_cases():
+        for search in (grundy_tree, lambda g: solve_tree(g, Player.B)):
+            calls.clear()
+            search(g)
+            assert calls == [g.alive]
 
 
 def test_part_shapes_of_a_long_path_need_no_recursion():
     g = gray_path(3000)
-    moves, shape = _move_parts(g.alive, g.neighbor_masks(), {})
-    for u, v, parts in moves:
+    moves, shape, _ = _move_parts(g.alive, g.neighbor_masks(), {})
+    for u, v, parts in moves():
         if (u, v) == (1499, 1500):
             # 0..1498 rooted at 1498 (the part above) and 1501..2999
             # rooted at 1501 (a subtree): paths of 1,499 rooted at an end
@@ -343,10 +348,9 @@ def test_canonical_code_of_a_long_path_needs_no_recursion():
     assert tree_component_code(g, g.alive) == "(" + chain(1500) + chain(1499) + ")"
 
 
-# A root component is keyed by its canonical code and a part by its
-# rooted shape, so an isomorphic part, or another rooting of one part,
-# shares no key with it: the random pins count those as new keys. A
-# caterpillar's or a path's counters do not move.
+# A root component is keyed by its shape rooted at a centroid and a part
+# by its shape rooted where it hangs, so another rooting of one tree is a
+# new key: the random pins count those.
 @pytest.mark.parametrize(
     "g, turn, stats, move",
     [
@@ -355,9 +359,13 @@ def test_canonical_code_of_a_long_path_needs_no_recursion():
         (gray_path(30), Player.W, (733, 705, 28), (14, 15)),
         (gray_tree(random_tree_pairs(random.Random(1), 28)), Player.B, (5794, 5542, 252), (6, 13)),
         (gray_tree(random_tree_pairs(random.Random(1), 28)), Player.W, (5794, 5542, 252), (6, 13)),
-        # five components; the winning move lies outside the first one
-        (random_forest(random.Random(7), 30), Player.B, (152, 133, 19), (3, 23)),
-        (random_forest(random.Random(7), 30), Player.W, (152, 133, 19), (3, 23)),
+        # five components; the winning move lies outside the first one.
+        # The root's children are read off its components' moves, which
+        # counts only the parts of each probed move (the other components
+        # are not revisited), and a root component whose centroid-rooted
+        # shape a part already had hits by key: was (152, 133, 19).
+        (random_forest(random.Random(7), 30), Player.B, (115, 98, 17), (3, 23)),
+        (random_forest(random.Random(7), 30), Player.W, (115, 98, 17), (3, 23)),
     ],
     ids=[
         "caterpillar-10", "caterpillar-20", "path-30", "random-28-B", "random-28-W",
@@ -377,8 +385,8 @@ def test_exact_search_stats_under_an_alive_mask(turn):
     g = gray_path(30)
     out = solve_tree(induced_mask(g, g.alive & ~(1 << 10)), turn)  # paths of 10 and 19
     s = out.stats
-    # the root path of 10 is keyed by its code, so the 10-path parts that
-    # moves on the 19-path leave, keyed by rooted shape, do not hit it
+    # the root path of 10 is rooted at a centroid, so the 10-path parts
+    # that moves on the 19-path leave, rooted at an end, do not hit it
     assert (s.node_expansions, s.memo_hits, s.distinct_keys) == (258, 240, 18)
     assert out.winner is turn.opponent
     assert out.winning_move is None
