@@ -16,7 +16,6 @@ from typing import Optional
 from .bench import BenchConsistencyError, records_to_csv, run_bench
 from .engines import (
     COUNTERS,
-    DEFAULT_VC_THRESHOLD,
     ENGINE_NAMES,
     GRUNDY,
     count_ak_subtrees,
@@ -89,7 +88,7 @@ def _cmd_solve(args) -> int:
     given = {"max_n": args.max_n, "cover": args.cover, "partition": args.partition}
     options = {key: value for key, value in given.items() if value is not None}
     # Whether the engine takes an option is checked before the option's value.
-    engine, fn = select_engine(args.engine, g, args.count_mode, args.vc_threshold, options)
+    engine, fn = select_engine(args.engine, g, args.count_mode, options)
     if "cover" in options:
         options["cover"] = _parse_cover(args.cover, g.n)
     if "partition" in options:
@@ -189,9 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--count-mode",
         action="store_true",
         help=f"full-expansion instrumentation (no short-circuit; {'/'.join(COUNTERS)})",
-    )
-    p.add_argument(
-        "--vc-threshold", type=int, default=DEFAULT_VC_THRESHOLD, help="auto: use vc when tau <= this"
     )
     p.add_argument("--timing", action="store_true", help="include elapsed seconds")
     p.set_defaults(func=_cmd_solve)

@@ -6,6 +6,7 @@ vc      memo on cover-class keys, moves thinned to representatives
 nd      memo on the alive mask; each module's survivors are its highest
         members, so the mask is canonical
 tree    Sprague-Grundy on gray forests, canonical-form memo
+auto    tree, else vc if tau <= VC_THRESHOLD, else nd if nu < n, else subset
 
 vc and nd share one memoized search (common.search) and differ only in
 their candidate moves, edge masks whose (u, v) the root reads off the
@@ -13,14 +14,14 @@ winning one; subset is nd's search, every module one vertex. Each hands
 the search a builder for its set-up, which the search times as part of
 elapsed. The search keys a position on its alive mask; vc alone
 supplies a key, because it merges isomorphic positions. subset refuses
-n over max_n, nd a key space over 2^32.
+n over max_n, nd a key space over 2^32 (n > 32 when twin-free).
 """
 
 from inspect import signature
 from typing import Callable, Iterable
 
 from ..graph import ColoredGraph
-from ..params import cover_at_most
+from ..params import cover_at_most, nd_partition
 from .common import CapacityError, Outcome, SearchStats
 from .naive import grundy_naive, solve_naive
 from .nd import count_nd_positions, solve_nd
@@ -51,34 +52,33 @@ COUNTERS = {
 }
 GRUNDY = {"naive": grundy_naive, "tree": grundy_tree}
 ENGINE_NAMES = (*SOLVERS, "auto")
-DEFAULT_VC_THRESHOLD = 8  # auto picks vc when a cover of at most this size exists
+VC_THRESHOLD = 8  # auto picks vc when a cover of at most this size exists
 
 
-def pick_auto_engine(g: ColoredGraph, vc_threshold: int = DEFAULT_VC_THRESHOLD) -> str:
-    """tree for gray forests, vc for small covers, subset otherwise."""
+def pick_auto_engine(g: ColoredGraph) -> str:
+    """The paper's dispatch: tree, vc (small tau), nd (nu < n), subset."""
     try:
         check_gray_forest(g)
     except ValueError:
         pass
     else:
         return "tree"
-    if cover_at_most(g, vc_threshold):
+    if cover_at_most(g, VC_THRESHOLD):
         return "vc"
-    return "subset"
+    return "nd" if nd_partition(g).count < g.alive.bit_count() else "subset"
 
 
 def select_engine(
     name: str,
     g: ColoredGraph,
     count_mode: bool,
-    vc_threshold: int = DEFAULT_VC_THRESHOLD,
     options: Iterable[str] = (),
 ) -> tuple[str, Callable]:
     """The engine name stands for on g ("auto" picks one) and its
     registry function. Raises ValueError naming that engine when it
     takes no parameter for one of the option names, so an option meant
     for another engine is never ignored."""
-    engine = pick_auto_engine(g, vc_threshold) if name == "auto" else name
+    engine = pick_auto_engine(g) if name == "auto" else name
     fn = (COUNTERS if count_mode else SOLVERS).get(engine)
     if fn is None and count_mode:
         raise ValueError(f"count mode is not supported for engine {engine!r}")
@@ -92,13 +92,13 @@ def select_engine(
 
 __all__ = [
     "COUNTERS",
-    "DEFAULT_VC_THRESHOLD",
     "ENGINE_NAMES",
     "GRUNDY",
     "SOLVERS",
     "CapacityError",
     "Outcome",
     "SearchStats",
+    "VC_THRESHOLD",
     "count_ak_subtrees",
     "count_nd_positions",
     "count_nk_subtrees",

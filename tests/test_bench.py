@@ -179,14 +179,25 @@ def test_timing_fills_elapsed():
 def test_pick_auto_engine():
     assert pick_auto_engine(gen_caterpillar_kayles(3)) == "tree"
     assert pick_auto_engine(gen_grid(2, 2)) == "vc"  # cycle, tiny cover
-    assert pick_auto_engine(gen_grid(2, 2), vc_threshold=1) == "subset"
+    # K12 has tau 11, over the threshold, and all its vertices are twins
+    # (nu 1 < n), so it goes to nd.
     k12 = build(12, [(u, v, "g") for u in range(12) for v in range(u + 1, 12)])
-    assert pick_auto_engine(k12) == "subset"  # tau 11 over the threshold
+    assert pick_auto_engine(k12) == "nd"
     forest_with_colors = build(2, [(0, 1, "b")])
     assert pick_auto_engine(forest_with_colors) == "vc"
 
 
 def test_pick_auto_engine_bounds_the_cover_search():
-    # a greedy matching has 95 edges, so tau is far over the threshold
+    # a greedy matching has 95 edges, so tau is far over the threshold;
+    # the graph is twin-free (nu = n), so auto keeps subset
     assert pick_auto_engine(gen_random(200, 0.05)) == "subset"
-    assert pick_auto_engine(gen_grid(2, 2), vc_threshold=2) == "vc"  # tau 2
+
+
+def test_pick_auto_engine_cuts_tau_at_the_threshold():
+    """All-gray K_n has tau n - 1: K9 is at the threshold of 8 and goes
+    to vc; K10 is over it and goes to nd, every vertex a twin of the rest."""
+    def clique(n):
+        return build(n, [(u, v, "g") for u in range(n) for v in range(u + 1, n)])
+
+    assert pick_auto_engine(clique(9)) == "vc"
+    assert pick_auto_engine(clique(10)) == "nd"

@@ -8,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from cak import gen_caterpillar_kayles, gen_grid, gen_random, serialize_graph
+from cak import (
+    gen_caterpillar_kayles,
+    gen_grid,
+    gen_random,
+    nd_partition,
+    parse_graph,
+    serialize_graph,
+)
 from cak.bench import BenchConsistencyError
 from cak.cli import build_parser, main
 
@@ -122,10 +129,29 @@ def test_auto_engine_selection(tmp_path, capsys):
     cram = write_cak(tmp_path, gen_grid(2, 2), "cram.cak")
     _, stdout, _ = invoke(capsys, "solve", "-f", cram, "-e", "auto")
     assert json.loads(stdout)["engine"] == "vc"
-    _, stdout, _ = invoke(
-        capsys, "solve", "-f", cram, "-e", "auto", "--vc-threshold", "1"
-    )
-    assert json.loads(stdout)["engine"] == "subset"
+
+
+def test_auto_routes_twins_to_nd_past_subset_capacity(tmp_path, capsys):
+    """lower-nd with k = 3, s = 11 has n = 36 but nu = 6: auto takes nd,
+    whose key-space bound admits it, where subset refuses n > 32."""
+    f = str(tmp_path / "lnd.cak")
+    assert invoke(capsys, "gen", "lower-nd", "--k", "3", "--s", "11", "-o", f)[0] == 0
+    code, auto, _ = invoke(capsys, "solve", "-f", f)
+    assert code == 0
+    report = json.loads(auto)
+    assert report["engine"] == "nd"
+    assert (report["winner"], report["winning_move"]) == ("B", [12, 35])
+    assert invoke(capsys, "solve", "-f", f, "-e", "nd") == (0, auto, "")
+    code, _, stderr = invoke(capsys, "solve", "-f", f, "-e", "subset")
+    assert code == 2 and "n=36" in stderr
+    # auto's options are checked against nd, the engine it picks.
+    modules = [[v + 1 for v in m] for m in nd_partition(parse_graph(Path(f).read_bytes())).modules]
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps(modules))
+    assert invoke(capsys, "solve", "-f", f, "-e", "auto", "--partition", str(part)) == (0, auto, "")
+    code, _, stderr = invoke(capsys, "solve", "-f", f, "-e", "auto", "--max-n", "40")
+    assert code == 2
+    assert stderr == "error: option max_n does not apply to engine 'nd'\n"
 
 
 def test_solve_with_cover_and_partition(tmp_path, capsys):

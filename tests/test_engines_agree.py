@@ -1,5 +1,7 @@
 """Every engine finds the same winner and the same winning move."""
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,12 +16,18 @@ from cak import (
     solve_tree,
     solve_vc,
 )
-from cak.engines import nd as nd_engine, subset as subset_engine, vc as vc_engine
+from cak.engines import (
+    VC_THRESHOLD,
+    nd as nd_engine,
+    select_engine,
+    subset as subset_engine,
+    vc as vc_engine,
+)
 from cak.engines.common import search
 from cak.engines.tree import check_gray_forest
 from cak.params import min_vertex_cover
 
-from _oracles import build, twin_blowups
+from _oracles import build, twin_blowups, twin_classes_oracle
 
 
 @st.composite
@@ -73,6 +81,24 @@ def test_nd_under_a_finer_partition_agrees_with_naive(case):
     for turn in Player:
         want = solve_naive(g, turn)
         out = solve_nd(g, turn, partition=fine)
+        assert (out.winner, out.winning_move) == (want.winner, want.winning_move)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(twin_blowups(), st.sampled_from([0, 2, VC_THRESHOLD]))
+def test_auto_on_twin_blowups_agrees_with_naive(case, threshold):
+    """auto past the tree and vc cuts takes nd exactly where some
+    vertices are twins (nu < n). Blow-ups this small mostly have tau
+    under the constant threshold, so lower ones are patched in too,
+    to reach that branch on graphs naive can check."""
+    g, _ = case
+    nu = len(twin_classes_oracle(g.edges, range(g.n)))
+    with patch("cak.engines.VC_THRESHOLD", threshold):
+        engine, solve = select_engine("auto", g, count_mode=False)
+    if engine not in ("tree", "vc"):
+        assert (engine == "nd") == (nu < g.n)
+    for turn in Player:
+        out, want = solve(g, turn), solve_naive(g, turn)
         assert (out.winner, out.winning_move) == (want.winner, want.winning_move)
 
 
