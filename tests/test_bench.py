@@ -2,7 +2,14 @@
 
 import pytest
 
-from cak import gen_caterpillar_kayles, gen_grid, gen_random, min_vertex_cover
+from cak import (
+    ColoredGraph,
+    gen_caterpillar_kayles,
+    gen_grid,
+    gen_random,
+    min_vertex_cover,
+    nd_partition,
+)
 from cak.bench import (
     CSV_COLUMNS,
     BenchConsistencyError,
@@ -11,8 +18,9 @@ from cak.bench import (
     records_to_csv,
     run_bench,
 )
-from cak.engines import SOLVERS
+from cak.engines import ND_MIN_MERGED, SOLVERS, VC_THRESHOLD
 from cak.graph import Player
+from cak.params import cover_at_most
 
 from _oracles import build
 
@@ -180,7 +188,7 @@ def test_pick_auto_engine():
     assert pick_auto_engine(gen_caterpillar_kayles(3)) == "tree"
     assert pick_auto_engine(gen_grid(2, 2)) == "vc"  # cycle, tiny cover
     # K12 has tau 11, over the threshold, and all its vertices are twins
-    # (nu 1 < n), so it goes to nd.
+    # (nu 1, so 11 merged vertices), so it goes to nd.
     k12 = build(12, [(u, v, "g") for u in range(12) for v in range(u + 1, 12)])
     assert pick_auto_engine(k12) == "nd"
     forest_with_colors = build(2, [(0, 1, "b")])
@@ -201,3 +209,17 @@ def test_pick_auto_engine_cuts_tau_at_the_threshold():
 
     assert pick_auto_engine(clique(9)) == "vc"
     assert pick_auto_engine(clique(10)) == "nd"
+
+
+@pytest.mark.parametrize("copies, engine", [(0, "subset"), (3, "subset"), (4, "nd")])
+def test_pick_auto_engine_cuts_merged_twins_at_the_constant(copies, engine):
+    """gen_random(14, 0.4) is twin-free with tau over the threshold.
+    Each copy of vertex 0 (same colored neighbours, not adjacent to it)
+    joins 0's module and merges one more vertex: nd is picked from
+    ND_MIN_MERGED = 4 merged vertices on."""
+    g = gen_random(14, 0.4)
+    copied = [(v, g.n + i, c) for i in range(copies) for u, v, c in g.edges if u == 0]
+    blown = ColoredGraph(g.n + copies, g.edges + tuple(copied))
+    assert ND_MIN_MERGED == 4 and nd_partition(blown).count == g.n
+    assert not cover_at_most(blown, VC_THRESHOLD)
+    assert pick_auto_engine(blown) == engine
