@@ -25,12 +25,15 @@ class SearchStats:
     memo size. The search probes a child's key before it recurses, so
     node_expansions is the recursive calls made plus the memo hits; with
     short-circuit disabled, that is the whole memoized recursion tree.
+    elapsed is the whole search in seconds, and setup_s the part of it
+    spent on the engine's set-up before the first position.
     """
 
     node_expansions: int = 0
     memo_hits: int = 0
     distinct_keys: int = 0
     elapsed: float = 0.0
+    setup_s: float = 0.0
 
 
 @dataclass
@@ -98,6 +101,7 @@ def search(
     """
     started = perf_counter()
     engine = build()
+    setup_s = perf_counter() - started
     key, moves = engine.key, engine.candidates
     memo: dict = {}
     nodes, hits = 1, 0  # the root is visited and is never a memo hit
@@ -130,7 +134,7 @@ def search(
     with recursion_capacity():
         move = first_win(g.alive, side, sorted(moves(g.alive, side, k), key=bits))
     memo[k] = move is not None
-    stats = SearchStats(nodes, hits, len(memo), perf_counter() - started)
+    stats = SearchStats(nodes, hits, len(memo), perf_counter() - started, setup_s)
     winner = turn if move is not None else turn.opponent
     return Outcome(winner, None if move is None else tuple(bits(move)), stats)
 

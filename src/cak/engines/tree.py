@@ -183,6 +183,8 @@ def _forest_search(
     inline it."""
     t0 = perf_counter()
     nbr = g.neighbor_masks()
+    comps = check_gray_forest(g)
+    setup_s = perf_counter() - t0  # the masks and the checked components
     by_mask: dict[int, int] = {}  # component mask -> value
     by_key: dict[int, int] = {}  # rooted shape id -> value
     ids: dict[tuple[int, ...], int] = {}  # children's shape ids -> shape id
@@ -225,7 +227,7 @@ def _forest_search(
     value = 0
     move = None
     with recursion_capacity():
-        for comp in check_gray_forest(g):
+        for comp in comps:
             value ^= root(comp)
         if solve and value:
             # A move in comp leaves a zero child iff its parts XOR to rest,
@@ -239,7 +241,7 @@ def _forest_search(
     # Every miss stores one new key (its moves reach only smaller
     # components), so the visits that are not misses are the memo hits.
     keys = len(by_key)
-    return value, move, SearchStats(nodes, nodes - keys, keys, perf_counter() - t0)
+    return value, move, SearchStats(nodes, nodes - keys, keys, perf_counter() - t0, setup_s)
 
 
 def grundy_tree(g: ColoredGraph) -> int:

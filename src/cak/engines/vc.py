@@ -24,9 +24,12 @@ meets at most 2^|S| of them, far fewer than its positions. So the search
 keeps one class table per C, built the first time C is seen: every
 non-cover vertex of the start graph grouped toward C, as rows sorted by
 class masks, each with its member mask and, per side, the cover
-vertices that side may join to the class. A position's classes are the
-rows with a member alive, and they come out of the table in key order,
-so a key is one walk over the rows with no grouping and no sort, and
+vertices that side may join to the class. Each row also owns a field
+of the key's packed int, as wide as its class's full size needs, and a
+key is (C, the sum of each row's alive member count shifted into its
+field, side): one walk over the rows with no grouping, no sort and no
+tuple per class. As the table depends only on C, equal keys are equal
+multisets of (class, count) pairs; vc_canonical_key decodes them, and
 the moves are read off the same rows.
 """
 
@@ -38,9 +41,8 @@ from ..graph import ColoredGraph, Player, bits, resolve_alive
 from ..params import as_cover, cover_classes, min_vertex_cover
 from .common import PLAYABLE, PLAYERS, Move, Outcome, SearchStats, search
 
-# (class masks, size) pairs of a key.
-_ClassPairs = tuple[tuple[tuple[int, int, int], int], ...]
-VcKey = tuple[int, _ClassPairs, int]
+VcKey = tuple[int, int, int]  # alive cover mask, packed class sizes, side
+_ClassPairs = tuple[tuple[tuple[int, int, int], int], ...]  # sorted (class masks, size)
 
 
 class _CoverSearch:
@@ -63,22 +65,25 @@ class _CoverSearch:
     def table(self, alive_cover: int) -> tuple:
         """The cover classes of every non-cover vertex toward alive_cover,
         without the all-absent class, as rows sorted by class masks: the
-        masks, the member mask, and per side the bit 1 << u of each cover
-        vertex u joined to the class by an edge that side may play."""
+        shift of the class's count field in the key, the member mask,
+        and per side the bit 1 << u of each cover vertex u joined to the
+        class by an edge that side may play."""
         classes = cover_classes(self.g, self.noncover, alive_cover)
         classes.pop((0, 0, 0), None)
         rows = []
+        shift = 0
         for masks, members in sorted(classes.items()):
             joins = (sum(masks[c - 1] for c in playable) for playable in PLAYABLE)
             cover_bits = tuple(tuple(1 << u for u in bits(j)) for j in joins)
-            rows.append((masks, sum(1 << v for v in members), cover_bits))
+            rows.append((shift, sum(1 << v for v in members), cover_bits))
+            shift += len(members).bit_length()
         return tuple(rows)
 
-    def key(self, mask: int, side: int):
-        """Walks the alive cover mask's table once: each row with an alive
-        member gives a (class masks, size) pair of the key. The side
-        stays in the key: isolated vertices are dropped from it, so the
-        key does not fix how many vertices are alive."""
+    def key(self, mask: int, side: int) -> VcKey:
+        """Walks the alive cover mask's table once, adding each row's
+        alive member count into its field. The side stays in the key:
+        isolated vertices are dropped from it, so the key does not fix
+        how many vertices are alive."""
         alive_cover = 0
         for sb, ns in self.cover_nbrs:
             if mask & sb and mask & ns:
@@ -86,10 +91,11 @@ class _CoverSearch:
         rows = self.tables.get(alive_cover)
         if rows is None:
             rows = self.tables[alive_cover] = self.table(alive_cover)
-        counts = [
-            (masks, alive.bit_count()) for masks, members, _ in rows if (alive := members & mask)
-        ]
-        return (alive_cover, tuple(counts), side)
+        packed = 0
+        for shift, members, _ in rows:
+            if alive := members & mask:
+                packed += alive.bit_count() << shift
+        return (alive_cover, packed, side)
 
     def candidates(self, mask: int, side: int, key) -> list[Move]:
         """The side's cover-internal moves, dead ones included (the search
@@ -108,12 +114,22 @@ class _CoverSearch:
 
 def vc_canonical_key(
     g: ColoredGraph, alive: Optional[int], cover: Iterable[int], turn: Player
-) -> VcKey:
-    """The engine's memo key of a position for a fixed cover (exposed for
-    testing): the mask of alive, non-isolated cover vertices, the sorted
-    (class masks, class size) pairs, and the side to move as its index
-    in PLAYERS (0 = B, 1 = W)."""
-    return _CoverSearch(g, cover).key(resolve_alive(g, alive), PLAYERS.index(turn))
+) -> tuple[int, _ClassPairs, int]:
+    """The engine's memo key of a position for a fixed cover, decoded
+    (exposed for testing): the mask of alive, non-isolated cover
+    vertices, the sorted (class masks, class size) pairs, and the side
+    to move as its index in PLAYERS (0 = B, 1 = W)."""
+    cs = _CoverSearch(g, cover)
+    alive_cover, packed, side = cs.key(resolve_alive(g, alive), PLAYERS.index(turn))
+    classes = cover_classes(g, cs.noncover, alive_cover)
+    classes.pop((0, 0, 0), None)
+    pairs = []
+    for masks, members in sorted(classes.items()):
+        width = len(members).bit_length()
+        if count := packed & ((1 << width) - 1):
+            pairs.append((masks, count))
+        packed >>= width
+    return (alive_cover, tuple(pairs), side)
 
 
 def solve_vc(

@@ -1,8 +1,10 @@
 """Cover-keyed engine: soundness, key merging, move restriction."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cak import (
     Player,
@@ -15,6 +17,7 @@ from cak import (
     solve_vc,
     vc_canonical_key,
 )
+from cak.engines.common import PLAYERS
 from cak.engines.vc import _CoverSearch
 from cak.graph import induced_mask
 
@@ -192,8 +195,9 @@ def test_restricted_moves_reach_every_child_key():
 def test_one_search_object_keys_every_position_like_a_fresh_one():
     """The per-cover class tables a search keeps must not leak between
     positions: one _CoverSearch reused over every reachable position
-    gives the key of a fresh vc_canonical_key and of an oracle built
-    from equivalence_classes, and the candidates of a fresh object. Its
+    gives the packed key and the candidates of a fresh object, and that
+    key decodes (vc_canonical_key) to an oracle built from
+    equivalence_classes. Its
     live candidates, as edge masks, are the oracle's: the alive, playable
     cover-internal edges, plus each class's lowest member joined by a
     playable edge to each alive cover vertex. They also come in the
@@ -217,15 +221,15 @@ def test_one_search_object_keys_every_position_like_a_fresh_one():
             for mask, player in positions:
                 side = 0 if player is Player.B else 1
                 key = cs.key(mask, side)
-                assert key == vc_canonical_key(g, mask, cover, player)
+                fresh = _CoverSearch(g, cover)
+                assert key == fresh.key(mask, side)
                 live_cover = 0
                 for u, v, _ in g.edges:
                     if mask >> u & 1 and mask >> v & 1:
                         live_cover |= (u in cover) << u | (v in cover) << v
                 classes = equivalence_classes(induced_mask(g, mask), cover)
                 pairs = sorted((k, len(m)) for k, m in classes.items() if any(k))
-                assert key == (live_cover, tuple(pairs), side)
-                fresh = _CoverSearch(g, cover)
+                assert vc_canonical_key(g, mask, cover, player) == (live_cover, tuple(pairs), side)
                 want = fresh.candidates(mask, side, fresh.key(mask, side))
                 got = cs.candidates(mask, side, key)
                 assert got == want
@@ -245,6 +249,52 @@ def test_one_search_object_keys_every_position_like_a_fresh_one():
                 assert sorted(live) == sorted(oracle)
                 assert live == oracle
     assert rep_below_cover  # a class move whose low bit is the representative
+
+
+@st.composite
+def boundary_classes(draw):
+    """(graph, k): cover vertices 0..k-1 with random edges among them,
+    then non-cover classes side by side, each a distinct color vector
+    toward the cover, with sizes at the packed key's field boundaries
+    (1, 2^j - 1 and 2^j)."""
+    k = draw(st.integers(1, 3))
+    color = st.sampled_from("gbw")
+    edges = [(u, v, draw(color)) for u, v in combinations(range(k), 2) if draw(st.booleans())]
+    vector = st.tuples(*[st.sampled_from("-gbw")] * k).filter(lambda vec: set(vec) != {"-"})
+    n = k
+    for vec in draw(st.lists(vector, min_size=1, max_size=3, unique=True)):
+        size = draw(st.sampled_from([1, 2, 3, 4, 7, 8]))
+        edges += [(u, x, c) for x in range(n, n + size) for u, c in enumerate(vec) if c != "-"]
+        n += size
+    return build(n, edges), k
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(boundary_classes(), st.randoms(use_true_random=False))
+def test_packed_key_merges_what_the_tuple_key_merged(case, rng):
+    """Over every reachable position, the packed keys of one search
+    object split the positions into the same classes as the readable
+    (cover, sorted (class masks, size) pairs, side) key built from
+    equivalence_classes, which vc_canonical_key returns: with the
+    minimum cover, the built one whose classes sit at field boundaries,
+    and a larger one."""
+    g, k = case
+    built = set(range(k))
+    larger = built | {rng.randrange(k, g.n)}
+    nbr = g.neighbor_masks()
+    positions = reachable_positions(g, Player.B) | reachable_positions(g, Player.W)
+    for cover in (set(min_vertex_cover(g).vertices), built, larger):
+        cs = _CoverSearch(g, cover)
+        pairs = set()
+        for mask, player in positions:
+            side = PLAYERS.index(player)
+            live_cover = sum(1 << s for s in cover if mask >> s & 1 and nbr[s] & mask)
+            classes = equivalence_classes(induced_mask(g, mask), cover)
+            sizes = sorted((c, len(m)) for c, m in classes.items() if any(c))
+            want = (live_cover, tuple(sizes), side)
+            assert vc_canonical_key(g, mask, cover, player) == want
+            pairs.add((cs.key(mask, side), want))
+        assert len({key for key, _ in pairs}) == len({want for _, want in pairs}) == len(pairs)
 
 
 def test_count_mode_disables_short_circuit():

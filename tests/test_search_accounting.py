@@ -29,15 +29,22 @@ from cak import (
     count_nd_positions,
     count_subset_positions,
     count_vc_positions,
+    gen_caterpillar_kayles,
     gen_grid,
     gen_lower_nd,
     gen_lower_vc,
     solve_nd,
     solve_naive,
     solve_subset,
+    solve_tree,
     solve_vc,
 )
-from cak.engines import nd as nd_engine, subset as subset_engine, vc as vc_engine
+from cak.engines import (
+    nd as nd_engine,
+    subset as subset_engine,
+    tree as tree_engine,
+    vc as vc_engine,
+)
 from cak.engines.common import search
 from cak.generators import lower_nd_clique_vertices
 
@@ -154,7 +161,8 @@ def test_default_key_is_the_alive_mask(engine, solve, count):
 )
 def test_setup_counts_in_elapsed(setup, solve, count):
     """elapsed runs from before the engine's set-up, not from the first
-    node: a set-up slowed by 20 ms shows in it, in both modes."""
+    node: a set-up slowed by 20 ms shows in it, in both modes, and
+    setup_s reports that share of it."""
     init = setup.__init__
 
     def slow_init(self, *args):
@@ -163,8 +171,24 @@ def test_setup_counts_in_elapsed(setup, solve, count):
 
     g = gen_grid(2, 3)
     with patch.object(setup, "__init__", slow_init):
-        assert solve(g, Player.B).stats.elapsed >= 0.02
-        assert count(g, Player.B).elapsed >= 0.02
+        for stats in (solve(g, Player.B).stats, count(g, Player.B)):
+            assert 0.02 <= stats.setup_s <= stats.elapsed
+
+
+def test_tree_setup_counts_in_setup_s():
+    """The tree engine's set-up, the checked split of the forest into
+    components, is timed as setup_s inside elapsed when it solves and
+    when it only computes the value."""
+    check = tree_engine.check_gray_forest
+
+    def slow_check(g):
+        sleep(0.02)
+        return check(g)
+
+    g = gen_caterpillar_kayles(3)
+    with patch.object(tree_engine, "check_gray_forest", slow_check):
+        for stats in (solve_tree(g, Player.B).stats, tree_engine._forest_search(g, False)[2]):
+            assert 0.02 <= stats.setup_s <= stats.elapsed
 
 
 # (board, first player) -> (node_expansions, winner, winning move)
