@@ -1,6 +1,7 @@
 """Cover-keyed engine: soundness, key merging, move restriction."""
 
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -252,21 +253,42 @@ def test_one_search_object_keys_every_position_like_a_fresh_one():
 
 
 @st.composite
-def boundary_classes(draw):
-    """(graph, k): cover vertices 0..k-1 with random edges among them,
-    then non-cover classes side by side, each a distinct color vector
-    toward the cover, with sizes at the packed key's field boundaries
-    (1, 2^j - 1 and 2^j)."""
-    k = draw(st.integers(1, 3))
+def class_vectors(draw, max_k, unique=False):
+    """(k, edges, vectors): cover vertices 0..k-1 with random edges among
+    them, and up to three color vectors toward the cover ('-' for no
+    edge), each the vector of one class of non-cover vertices."""
+    k = draw(st.integers(1, max_k))
     color = st.sampled_from("gbw")
     edges = [(u, v, draw(color)) for u, v in combinations(range(k), 2) if draw(st.booleans())]
     vector = st.tuples(*[st.sampled_from("-gbw")] * k).filter(lambda vec: set(vec) != {"-"})
+    return k, edges, draw(st.lists(vector, min_size=1, max_size=3, unique=unique))
+
+
+def with_classes(k, edges, sized_vectors):
+    """The graph of edges on cover vertices 0..k-1 plus, per (vector,
+    size), size non-cover vertices joined to each cover vertex u by an
+    edge of color vector[u]: false twins, whose cover degree is the
+    number of edges in the vector."""
+    edges = list(edges)
     n = k
-    for vec in draw(st.lists(vector, min_size=1, max_size=3, unique=True)):
-        size = draw(st.sampled_from([1, 2, 3, 4, 7, 8]))
+    for vec, size in sized_vectors:
         edges += [(u, x, c) for x in range(n, n + size) for u, c in enumerate(vec) if c != "-"]
         n += size
-    return build(n, edges), k
+    return build(n, edges)
+
+
+def cover_degree(vec):
+    return sum(c != "-" for c in vec)
+
+
+@st.composite
+def boundary_classes(draw):
+    """(graph, k): non-cover classes side by side, each a distinct color
+    vector toward the cover 0..k-1, with sizes at the packed key's field
+    boundaries (1, 2^j - 1 and 2^j)."""
+    k, edges, vectors = draw(class_vectors(3, unique=True))
+    size = st.sampled_from([1, 2, 3, 4, 7, 8])
+    return with_classes(k, edges, [(vec, draw(size)) for vec in vectors]), k
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
@@ -303,3 +325,88 @@ def test_count_mode_disables_short_circuit():
     counted = count_vc_positions(g, Player.B)
     assert counted.node_expansions >= solved.stats.node_expansions
     assert counted.distinct_keys <= counted.node_expansions + 1
+
+
+@st.composite
+def classes_by_degree(draw, fewest, most):
+    """(graph, k): classes of false twins toward the cover 0..k-1, each
+    with between fewest and most members more than its cover degree
+    (and at least one member)."""
+    k, edges, vectors = draw(class_vectors(4))
+    extra = st.integers(fewest, most)
+    sized = [(vec, max(1, cover_degree(vec) + draw(extra))) for vec in vectors]
+    return with_classes(k, edges, sized), k
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(classes_by_degree(1, 2))
+def test_capped_solve_agrees_with_subset_past_the_cover_degree(case):
+    """Solve mode keys a class only up to its number of alive cover
+    neighbours; on classes larger than that, with the built cover and a
+    minimum one, it finds subset's winner and winning move for both
+    movers."""
+    g, k = case
+    for turn in Player:
+        want = solve_subset(g, turn)
+        for cover in (None, range(k)):
+            out = solve_vc(g, turn, cover)
+            assert (out.winner, out.winning_move) == (want.winner, want.winning_move)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(class_vectors(3), st.integers(1, 3))
+def test_twins_at_the_cover_degree_leave_the_capped_key_alone(case, twins):
+    """The first class has exactly as many members as its cover degree.
+    False twins added to it leave solve mode's capped root key and the
+    whole solve (winner, move and triple) as they were, for both movers,
+    while the uncapped key that count mode and vc_canonical_key use
+    tells the two roots apart. Count mode's triple does not move either:
+    every class move also kills one of the class's cover neighbours, so
+    at most d members ever leave, and the twins shift the class's count
+    by the same amount in every position of an otherwise equal tree."""
+    k, edges, vectors = case
+    at_degree = [(vec, cover_degree(vec)) for vec in vectors]
+    g = with_classes(k, edges, at_degree)
+    h = with_classes(k, edges, at_degree + [(vectors[0], twins)])
+    cover = range(k)
+
+    def triple(stats):
+        return (stats.node_expansions, stats.memo_hits, stats.distinct_keys)
+
+    for turn in Player:
+        side = PLAYERS.index(turn)
+        capped = [_CoverSearch(x, cover, True).key(x.alive, side) for x in (g, h)]
+        uncapped = [vc_canonical_key(x, None, cover, turn) for x in (g, h)]
+        assert capped[0] == capped[1] and uncapped[0] != uncapped[1]
+        solved, twinned = solve_vc(g, turn, cover), solve_vc(h, turn, cover)
+        assert (twinned.winner, twinned.winning_move, triple(twinned.stats)) == (
+            solved.winner,
+            solved.winning_move,
+            triple(solved.stats),
+        )
+        counts = [triple(count_vc_positions(x, turn, cover)) for x in (g, h)]
+        assert counts[0] == counts[1]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(classes_by_degree(-1, 2))
+def test_equal_capped_keys_mean_equal_value(case):
+    """Over every reachable position, positions sharing a solve-mode
+    (capped) key have the same winner, by a plain recursion over alive
+    masks, with the built cover and a minimum one."""
+    g, k = case
+    plays = {p: [1 << u | 1 << v for u, v, c in g.edges if p.can_play(c)] for p in Player}
+
+    @cache
+    def wins(mask, player):
+        return any(
+            mask & em == em and not wins(mask ^ em, player.opponent) for em in plays[player]
+        )
+
+    positions = reachable_positions(g, Player.B) | reachable_positions(g, Player.W)
+    for cover in (None, range(k)):
+        cs = _CoverSearch(g, cover, True)
+        values = {}
+        for mask, player in positions:
+            key = cs.key(mask, PLAYERS.index(player))
+            assert values.setdefault(key, wins(mask, player)) is wins(mask, player)

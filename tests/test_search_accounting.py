@@ -6,7 +6,9 @@ the key up inside the call; the subset solve triples were recorded
 again when subset began to try, below the root, the edges that destroy
 the most opponent edges first, and the vc solve triples when vc stopped
 sorting the candidates of inner positions (it now tries its
-cover-internal edges first, then the class moves in table order), and
+cover-internal edges first, then the class moves in table order) and
+again when vc's solve mode capped each class's count at its number of
+alive cover neighbours, merging positions of equal value, and
 the nd solve triples when nd took subset's order (subset became nd on
 the one-vertex partition): each side's module pairs sorted once by how
 many opponent edges their edges destroy, the pairs of two one-vertex
@@ -86,11 +88,11 @@ def test_vc_accounting():
     g = gen_lower_vc(4)
     assert triple(count_vc_positions(g, Player.B)) == (3799, 3476, 323)
     out = solve_vc(g, Player.B)
-    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.W, None, (138, 76, 62))
+    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.W, None, (81, 54, 27))
     g = build(9, VC_WIN)
     assert triple(count_vc_positions(g, Player.B)) == (188, 117, 71)
     out = solve_vc(g, Player.B)
-    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.B, (4, 5), (88, 38, 50))
+    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.B, (4, 5), (80, 37, 43))
 
 
 def test_nd_accounting():
