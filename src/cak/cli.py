@@ -14,15 +14,8 @@ import sys
 from typing import Optional
 
 from .bench import BenchConsistencyError, records_to_csv, run_bench
-from .engines import (
-    COUNTERS,
-    ENGINE_NAMES,
-    GRUNDY,
-    count_ak_subtrees,
-    count_nk_subtrees,
-    select_engine,
-)
-from .engines.subset import DEFAULT_MAX_N
+from .engines import COUNTERS, ENGINE_NAMES, GRUNDY, SUBTREE_COUNTERS, select_engine
+from .engines.nd import MAX_KEY_BITS
 from .generators import GENERATORS
 from .graph import Player, VertexError, parse_graph, serialize_graph
 from .params import equivalence_classes, min_vertex_cover, nd_partition
@@ -116,10 +109,9 @@ def _cmd_gen(args) -> int:
     fn, param_names = GENERATORS[args.kind]
     params = {name: getattr(args, name) for name in param_names}
     header = " ".join(["c", args.kind, *(f"{k}={v}" for k, v in params.items())])
-    if "weights" in params:
-        params["weights"] = tuple(int(x) for x in args.weights.split(","))
-        if len(params["weights"]) != 3:
-            raise ValueError("weights must be three comma-separated integers")
+    if "weights" in params:  # gen_random checks them; a token not a plain int stays text
+        tokens = args.weights.split(",")
+        params["weights"] = tuple(int(x) if x.strip().isdecimal() else x for x in tokens)
     _write(header + "\n" + serialize_graph(fn(**params)), args.output)
     return 0
 
@@ -148,11 +140,7 @@ def _cmd_params(args) -> int:
 def _cmd_count(args) -> int:
     g = _read_graph(args.file)
     (root,) = _zero_based([args.root], g.n, "root")
-    if args.kind == "ak-subtrees":
-        value = count_ak_subtrees(g, root)
-    else:
-        value = count_nk_subtrees(g, root)
-    _emit({"kind": args.kind, "root": args.root, "count": value})
+    _emit({"kind": args.kind, "root": args.root, "count": SUBTREE_COUNTERS[args.kind](g, root)})
     return 0
 
 
@@ -181,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=ENGINE_NAMES,
     )
-    p.add_argument("--max-n", type=int, help=f"subset engine capacity (default {DEFAULT_MAX_N})")
+    p.add_argument("--max-n", type=int, help=f"subset engine's alive-vertex limit ({MAX_KEY_BITS})")
     p.add_argument("--cover", help="comma-separated 1-based cover for the vc engine")
     p.add_argument("--partition", help="JSON file of 1-based modules for the nd engine")
     p.add_argument(
@@ -224,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_params)
 
     p = sub.add_parser("count", help="count rooted subtrees reachable by removals")
-    p.add_argument("kind", choices=["ak-subtrees", "nk-subtrees"])
+    p.add_argument("kind", choices=list(SUBTREE_COUNTERS))
     p.add_argument("-f", "--file", required=True)
     p.add_argument("--root", type=int, required=True, help="1-based root vertex")
     p.set_defaults(func=_cmd_count)

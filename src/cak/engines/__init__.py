@@ -13,8 +13,9 @@ their candidate moves, edge masks whose (u, v) the root reads off the
 winning one; subset is nd's search, every module one vertex. Each hands
 the search a builder for its set-up, which the search times as part of
 elapsed. The search keys a position on its alive mask; vc alone
-supplies a key, because it merges isomorphic positions. subset refuses
-n over max_n, nd a key space over 2^32 (n > 32 when twin-free).
+supplies a key, because it merges isomorphic positions. nd's builder
+is the one capacity check of both: a key space prod(|M_i| + 1) over
+2^32 is refused (2^max_n for subset, whose bound is 2^alive).
 """
 
 from inspect import signature
@@ -51,6 +52,8 @@ COUNTERS = {
     "nd": count_nd_positions,
 }
 GRUNDY = {"naive": grundy_naive, "tree": grundy_tree}
+# `cak count` kind -> rooted-subtree counter on trees.
+SUBTREE_COUNTERS = {"ak-subtrees": count_ak_subtrees, "nk-subtrees": count_nk_subtrees}
 ENGINE_NAMES = (*SOLVERS, "auto")
 VC_THRESHOLD = 8  # auto picks vc when a cover of at most this size exists
 # auto picks nd when twins merge at least this many vertices (n - nu):
@@ -98,6 +101,7 @@ __all__ = [
     "ENGINE_NAMES",
     "GRUNDY",
     "SOLVERS",
+    "SUBTREE_COUNTERS",
     "CapacityError",
     "Outcome",
     "SearchStats",

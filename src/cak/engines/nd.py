@@ -9,7 +9,8 @@ alive members of the modules it plays in, so the mask and those counts
 determine each other on every position reached. Every move removes two
 vertices, so within one search the mask also fixes the side to move.
 The key space has size at most prod(|M_i| + 1); a partition that puts
-it over 2^MAX_KEY_BITS, subset's default limit, is refused.
+it over 2^MAX_KEY_BITS is refused. That is the one capacity check of
+the alive-mask search; subset, on one-vertex modules, has bound 2^alive.
 
 Between two modules adjacency is uniform (every pair or no pair, one
 color), and inside a module likewise, so one candidate edge per module
@@ -36,8 +37,8 @@ from ..graph import Color, ColoredGraph, Player, VertexError, bits
 from ..params import ModulePartition, nd_partition
 from .common import PLAYABLE, CapacityError, Move, Outcome, SearchStats, search
 
-# The largest key space, in bits, an alive-mask search takes: subset's
-# default max_n, and nd's bound on log2 prod(|M_i| + 1).
+# The default limit on log2 prod(|M_i| + 1), the key space of an
+# alive-mask search: nd's bound, and subset's default max_n.
 MAX_KEY_BITS = 32
 
 
@@ -141,16 +142,15 @@ class _ModuleSearch:
 
 
 def _build(
-    g: ColoredGraph, partition, restrict_to: Optional[Iterable[int]] = None
+    g: ColoredGraph, modules, restrict_to=None, max_bits: int = MAX_KEY_BITS, engine: str = "nd"
 ) -> _ModuleSearch:
-    """The search over the resolved partition, refused when its key
-    space bound prod(|M_i| + 1) is over 2^MAX_KEY_BITS."""
-    modules = _resolve_partition(g, partition)
+    """The search over resolved modules, refused, naming the engine run,
+    when its key space bound prod(|M_i| + 1) is over 2^max_bits."""
     bound = prod(len(m) + 1 for m in modules)
-    if bound > 1 << MAX_KEY_BITS:
+    if (bound - 1).bit_length() > max_bits:  # bound > 2^max_bits, with no 2^max_bits built
         raise CapacityError(
-            f"nd engine keys up to prod(|M_i|+1) = 2^{log2(bound):.1f} positions;"
-            f" the limit is 2^{MAX_KEY_BITS}"
+            f"{engine} engine keys up to prod(|M_i|+1) = 2^{log2(bound):.1f} positions;"
+            f" the limit is 2^{max_bits}"
         )
     return _ModuleSearch(g, modules, restrict_to)
 
@@ -159,7 +159,7 @@ def solve_nd(g: ColoredGraph, turn: Player, partition=None) -> Outcome:
     """Solve with a supplied module partition (validated: pairwise
     colored twins covering the alive vertices) or the computed coarsest
     one."""
-    return search(g, turn, lambda: _build(g, partition), short_circuit=True)
+    return search(g, turn, lambda: _build(g, _resolve_partition(g, partition)), True)
 
 
 def count_nd_positions(
@@ -171,4 +171,6 @@ def count_nd_positions(
     """Full-expansion instrumentation; optionally restrict moves to edges
     inside a vertex set (a union of modules), as in the clique-family
     state-space experiment."""
-    return search(g, turn, lambda: _build(g, partition, restrict_to), short_circuit=False).stats
+    return search(
+        g, turn, lambda: _build(g, _resolve_partition(g, partition), restrict_to), False
+    ).stats

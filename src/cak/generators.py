@@ -196,9 +196,9 @@ def gen_random(
         raise ValueError("n must be >= 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
+    if len(weights) != 3 or not any(weights) or any(type(w) is not int or w < 0 for w in weights):
+        raise ValueError("weights must be three nonnegative integers, not all zero")
     wg, wb, ww = weights
-    if min(wg, wb, ww) < 0 or wg + wb + ww <= 0:
-        raise ValueError("weights must be nonnegative integers, not all zero")
     _check_budget(f"random n={n}", n)
     total = wg + wb + ww
     threshold = int(p * (1 << 64))

@@ -133,7 +133,8 @@ def test_auto_engine_selection(tmp_path, capsys):
 
 def test_auto_routes_twins_to_nd_past_subset_capacity(tmp_path, capsys):
     """lower-nd with k = 3, s = 11 has n = 36 but nu = 6: auto takes nd,
-    whose key-space bound admits it, where subset refuses n > 32."""
+    whose key-space bound admits it, where subset's one-vertex modules
+    put the same bound at 2^36."""
     f = str(tmp_path / "lnd.cak")
     assert invoke(capsys, "gen", "lower-nd", "--k", "3", "--s", "11", "-o", f)[0] == 0
     code, auto, _ = invoke(capsys, "solve", "-f", f)
@@ -143,7 +144,7 @@ def test_auto_routes_twins_to_nd_past_subset_capacity(tmp_path, capsys):
     assert (report["winner"], report["winning_move"]) == ("B", [12, 35])
     assert invoke(capsys, "solve", "-f", f, "-e", "nd") == (0, auto, "")
     code, _, stderr = invoke(capsys, "solve", "-f", f, "-e", "subset")
-    assert code == 2 and "n=36" in stderr
+    assert code == 2 and "subset engine keys up to prod(|M_i|+1) = 2^36.0 positions" in stderr
     # auto's options are checked against nd, the engine it picks.
     modules = [[v + 1 for v in m] for m in nd_partition(parse_graph(Path(f).read_bytes())).modules]
     part = tmp_path / "part.json"
@@ -278,10 +279,13 @@ def test_gen_cli_variants(tmp_path, capsys):
         "--seed", "9",
     )
     assert first == second
-    code, _, _ = invoke(
-        capsys, "gen", "random", "--n", "4", "--p", "0.5", "--weights", "1,2"
-    )
-    assert code == 2
+    # gen_random checks the weights, whatever the CLI made of the text.
+    for weights in ("1,2", "a,b,c", "1,-1,1", "0,0,0"):
+        code, stdout, stderr = invoke(
+            capsys, "gen", "random", "--n", "5", "--p", "0.5", "--weights", weights
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: weights must be three nonnegative integers, not all zero\n"
     code, _, _ = invoke(capsys, "gen", "lower-vc", "--k", "3")
     assert code == 2
 
@@ -491,6 +495,16 @@ def test_suite_field_types_exit_2(tmp_path, capsys):
         assert stderr == f"error: {message}\n"
 
 
+def test_bench_weights_are_checked_by_the_generator(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    for weights in ([1, 1], [1.0, 1, 1], [True, 1, 1]):
+        grid = {"n": [4], "p": [0.5], "weights": [weights]}
+        suite.write_text(json.dumps({"suites": [{"generator": "random", "grid": grid}]}))
+        code, stdout, stderr = invoke(capsys, "bench", "--suite", str(suite))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: weights must be three nonnegative integers, not all zero\n"
+
+
 def test_ids_are_checked_one_based_at_the_cli_edge(tmp_path, capsys):
     p3 = write_cak(tmp_path, build(3, [(0, 1, "g"), (1, 2, "g")]))
     part = tmp_path / "part.json"
@@ -525,7 +539,16 @@ def test_key_space_over_32_bits_exits_2(tmp_path, capsys, engine):
     f = write_cak(tmp_path, gen_random(40, 0.15, seed=3))
     code, stdout, stderr = invoke(capsys, "solve", "-f", f, "-e", engine)
     assert (code, stdout) == (2, "")
-    assert f"{engine} engine keys" in stderr
+    # One refusal, nd's builder's, naming the engine the user ran.
+    assert stderr == (
+        f"error: {engine} engine keys up to prod(|M_i|+1) = 2^40.0 positions; the limit is 2^32\n"
+    )
+
+
+def test_negative_max_n_exits_2_naming_it(tmp_path, capsys):
+    cram = write_cak(tmp_path, gen_grid(2, 2))
+    code, stdout, stderr = invoke(capsys, "solve", "-f", cram, "-e", "subset", "--max-n", "-1")
+    assert (code, stdout, stderr) == (2, "", "error: max_n must be >= 0, got -1\n")
 
 
 def test_too_deep_nd_search_exits_2(tmp_path, capsys, shallow_stack):

@@ -14,12 +14,14 @@ from cak import (
     gen_grid,
     gen_lower_nd,
     gen_lower_vc,
+    gen_random,
     remove_closed_edge,
     solve_naive,
     solve_nd,
     solve_subset,
     solve_vc,
 )
+from cak.graph import induced_mask
 
 from _oracles import build, full_count_oracle, random_lettered_edges
 
@@ -44,6 +46,10 @@ def test_empty_graph():
     assert out.stats.node_expansions == 1
 
 
+def counters(stats):
+    return stats.node_expansions, stats.memo_hits, stats.distinct_keys
+
+
 def test_capacity_guard():
     # 33 vertices, one gray edge: B plays it and W has no move left.
     g = build(33, [(0, 1, "g")])
@@ -51,6 +57,33 @@ def test_capacity_guard():
         solve_subset(g, Player.B)
     out = solve_subset(g, Player.B, max_n=40)
     assert (out.winner, out.winning_move) == (Player.B, (0, 1))
+    # The bound counts alive vertices, not the universe: 20 alive of 40
+    # solve as nd solves them on the same one-vertex modules.
+    parent = gen_random(40, 0.1, seed=1)
+    g = induced_mask(parent, (1 << 20) - 1)
+    singles = [[v] for v in range(20)]
+    out, nd_out = solve_subset(g, Player.B), solve_nd(g, Player.B, partition=singles)
+    assert out.winner is nd_out.winner is Player.B
+    assert out.winning_move == nd_out.winning_move
+    assert counters(out.stats) == counters(nd_out.stats)
+    full = count_subset_positions(g, Player.B)
+    assert counters(full) == counters(count_nd_positions(g, Player.B, partition=singles))
+    for run in (solve_subset, count_subset_positions):
+        with pytest.raises(CapacityError, match=r"^subset engine .* 2\^40\.0 "):
+            run(parent, Player.B)
+
+
+def test_capacity_counts_alive_vertices_in_nds_format():
+    """33 alive of 40: both engines refuse, on one-vertex modules, in
+    one message format, each naming itself."""
+    g = induced_mask(gen_random(40, 0.1, seed=1), (1 << 33) - 1)
+    singles = [[v] for v in range(33)]
+    for engine, run in (("subset", solve_subset), ("nd", lambda g, t: solve_nd(g, t, singles))):
+        with pytest.raises(CapacityError) as err:
+            run(g, Player.B)
+        assert str(err.value) == (
+            f"{engine} engine keys up to prod(|M_i|+1) = 2^33.0 positions; the limit is 2^32"
+        )
 
 
 def test_single_edge_key_count():

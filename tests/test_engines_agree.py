@@ -26,7 +26,7 @@ from cak.engines import (
 )
 from cak.engines.common import search
 from cak.engines.tree import check_gray_forest
-from cak.params import min_vertex_cover
+from cak.params import min_vertex_cover, nd_partition
 
 from _oracles import build, twin_blowups, twin_classes_oracle
 
@@ -110,7 +110,10 @@ def test_auto_on_twin_blowups_agrees_with_naive(case, threshold):
 SOLVE_AND_FULL = (
     (solve_subset, lambda g, turn: search(g, turn, lambda: subset_engine._build(g, g.n), False)),
     (solve_vc, lambda g, turn: search(g, turn, lambda: vc_engine._CoverSearch(g, None), False)),
-    (solve_nd, lambda g, turn: search(g, turn, lambda: nd_engine._build(g, None), False)),
+    (
+        solve_nd,
+        lambda g, turn: search(g, turn, lambda: nd_engine._build(g, nd_partition(g).modules), False),
+    ),
 )
 
 
