@@ -98,15 +98,19 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-def _field(obj: dict, name: str, kind: type, default, where: str):
+_JSON_TYPES = {bool: "boolean", int: "integer", str: "string", list: "list", dict: "object"}
+
+
+def _field(obj: dict, name: str, kind: type, default, where: str, runs: bool = False):
     """obj[name], or default when absent; raises unless its type is
-    exactly `kind`, so a JSON boolean is not an integer."""
+    exactly `kind`, so a JSON boolean is not an integer, and with runs
+    also when it is an empty list or below 1: it would run nothing."""
     value = obj.get(name, default)
     if type(value) is not kind:
-        json_type = {
-            bool: "boolean", int: "integer", str: "string", list: "list", dict: "object"
-        }[kind]
-        raise ValueError(f"{where} field {name!r} must be a JSON {json_type}")
+        raise ValueError(f"{where} field {name!r} must be a JSON {_JSON_TYPES[kind]}")
+    if runs and (len(value) if kind is list else value) < 1:
+        rule = "not be empty" if kind is list else f"be at least 1, not {value}"
+        raise ValueError(f"{where} field {name!r} must {rule}")
     return value
 
 
@@ -123,7 +127,7 @@ def expand_suite(spec: dict) -> list[_Task]:
         raise ValueError("suite spec must be a JSON object")
     _check_fields(spec, _SUITE_FIELDS, "suite")
     base_turn = Player.parse(_field(spec, "turn", str, "B", "suite"))
-    base_engines = _field(spec, "engines", list, ["subset"], "suite")
+    base_engines = _field(spec, "engines", list, ["subset"], "suite", runs=True)
     base_count_mode = _field(spec, "count_mode", bool, False, "suite")
     seed_counter = _field(spec, "seed", int, 0, "suite")
     tasks: list[_Task] = []
@@ -142,7 +146,7 @@ def expand_suite(spec: dict) -> list[_Task]:
             if not isinstance(values, list):
                 raise ValueError(f"generator {name!r}: {key!r} must be a list of values")
         turn = Player.parse(_field(entry, "turn", str, base_turn.value, "suite entry"))
-        engines = tuple(_field(entry, "engines", list, base_engines, "suite entry"))
+        engines = tuple(_field(entry, "engines", list, base_engines, "suite entry", runs=True))
         for eng in engines:
             if eng not in ENGINE_NAMES:
                 raise ValueError(f"unknown engine {eng!r}")
@@ -154,7 +158,7 @@ def expand_suite(spec: dict) -> list[_Task]:
         combos = [dict(zip(keys, values)) for values in product(*(grid[k] for k in keys))]
         if "repetitions" in entry and name != "random":
             raise ValueError("repetitions only applies to random")
-        repetitions = _field(entry, "repetitions", int, 1, "suite entry")
+        repetitions = _field(entry, "repetitions", int, 1, "suite entry", runs=True)
         for combo in combos:
             for _ in range(repetitions):
                 params = dict(combo)

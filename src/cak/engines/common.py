@@ -50,8 +50,15 @@ class Outcome:
 Move = int  # an edge {u, v} as its endpoint mask 1 << u | 1 << v
 
 PLAYERS = (Player.B, Player.W)  # a search's side index names one of these
-# The edge colors each side may play, indexed like PLAYERS.
-PLAYABLE = tuple(frozenset(c for c in Color if p.can_play(c)) for p in PLAYERS)
+
+
+def side_reach(g: ColoredGraph) -> tuple[tuple[int, ...], ...]:
+    """Per side, indexed like PLAYERS, each vertex's neighbours over the
+    edges that side may play: the sum of those colours' neighbour masks."""
+    masks = g.color_masks()
+    return tuple(
+        tuple(map(sum, zip(*(masks[c - 1] for c in Color if p.can_play(c))))) for p in PLAYERS
+    )
 
 
 def playable_edges(g: ColoredGraph, player: Player) -> tuple[Move, ...]:

@@ -33,9 +33,9 @@ from itertools import chain
 from math import log2, prod
 from typing import Iterable, Optional, Sequence
 
-from ..graph import Color, ColoredGraph, Player, VertexError, bits
+from ..graph import ColoredGraph, Player, VertexError, bits
 from ..params import ModulePartition, nd_partition
-from .common import PLAYABLE, CapacityError, Move, Outcome, SearchStats, search
+from .common import CapacityError, Move, Outcome, SearchStats, search, side_reach
 
 # The default limit on log2 prod(|M_i| + 1), the key space of an
 # alive-mask search: nd's bound, and subset's default max_n.
@@ -74,7 +74,7 @@ def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...
     return tuple(sorted(modules))
 
 
-def _destroyed(em: Move, opp: list[int]) -> int:
+def _destroyed(em: Move, opp: Sequence[int]) -> int:
     """How many of the edges in the neighbour masks opp playing em
     destroys: every one at either end, the edge itself once."""
     u, v = bits(em)
@@ -95,27 +95,23 @@ class _ModuleSearch:
             edges = [(u, v, c) for u, v, c in edges if u in inside and v in inside]
         module_of = {v: i for i, m in enumerate(modules) for v in m}
         # Each module pair (i, j), i <= j, joined by an edge, with its
-        # first edge; i == j is an edge inside a module. Twins give all
-        # edges of a pair one color and one destroyed count, so that edge
-        # speaks for the pair.
-        pairs: dict[tuple[int, int], tuple[Color, Move]] = {}
-        for u, v, c in edges:
+        # first edge and that edge's lower end; i == j is an edge inside a
+        # module. Twins give all edges of a pair one color and one
+        # destroyed count, so that edge speaks for the pair.
+        pairs: dict[tuple[int, int], tuple[int, Move]] = {}
+        for u, v, _ in edges:
             i, j = sorted((module_of[u], module_of[v]))
-            pairs.setdefault((i, j), (c, 1 << u | 1 << v))
-        masks = g.color_masks()
-        # Per side, each vertex's neighbours over the edges that side may play.
-        reach = tuple(
-            [sum(masks[c - 1][v] for c in playable) for v in range(g.n)] for playable in PLAYABLE
-        )
+            pairs.setdefault((i, j), (u, 1 << u | 1 << v))
+        reach = side_reach(g)
         # Per side, in the order the module docstring gives: the fixed
         # edges, then the other pairs.
         self.sides = []
-        for side, playable in enumerate(PLAYABLE):
+        for side, mine in enumerate(reach):
             fixed, rest = [], []
             for _, (i, j), em in sorted(
                 (-_destroyed(em, reach[side ^ 1]), ij, em)
-                for ij, (c, em) in pairs.items()
-                if c in playable
+                for ij, (u, em) in pairs.items()
+                if mine[u] & em
             ):
                 if len(modules[i]) == len(modules[j]) == 1:
                     fixed.append(em)

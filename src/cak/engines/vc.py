@@ -14,7 +14,9 @@ Moves are restricted to cover-internal edges plus, per class, the edges
 of the class representative (smallest alive member): any playable edge
 into a class produces a child with the same key as the representative's
 edge, so nothing is lost. Inner positions try the cover-internal edges
-first, then the class moves in table order (see below).
+first, then the class moves in table order (see below), both read off
+per-side edge lists built once per search; an edge to a dead cover
+vertex stays in them (the search skips it).
 
 Normalization: cover vertices that are isolated in the current position
 are dropped from the key, and so are non-cover vertices with an
@@ -24,12 +26,11 @@ The class partition depends only on the surviving cover C, and a search
 meets at most 2^|S| of them, far fewer than its positions. So the search
 keeps one class table per C, built the first time C is seen: every
 non-cover vertex of the start graph grouped toward C, as rows sorted by
-class masks, each with its member mask and, per side, the cover
-vertices that side may join to the class. Each row also owns a field
-of the key's packed int, as wide as the row's cap needs, and a key is
-(C, the sum of each row's alive member count, at most its cap, shifted
-into its field, side): one walk over the rows with no grouping, no sort
-and no tuple per class. The moves are read off the same rows.
+class masks, each holding only what the key reads: the shift of its
+field in the key's packed int, its member mask and its cap, the field
+as wide as the cap needs. A key is (C, the sum of each row's alive
+member count, at most its cap, shifted into its field, side): one walk
+over the rows with no grouping, no sort and no tuple per class.
 
 The cap is the paper's bound by the cover alone. Non-cover vertices are
 pairwise non-adjacent, so every move that removes a class member also
@@ -50,7 +51,7 @@ from typing import Iterable, Optional
 
 from ..graph import ColoredGraph, Player, bits, resolve_alive
 from ..params import as_cover, cover_classes, min_vertex_cover
-from .common import PLAYABLE, PLAYERS, Move, Outcome, SearchStats, search
+from .common import PLAYERS, Move, Outcome, SearchStats, search, side_reach
 
 VcKey = tuple[int, int, int]  # alive cover mask, packed class sizes, side
 _ClassPairs = tuple[tuple[tuple[int, int, int], int], ...]  # sorted (class masks, size)
@@ -65,34 +66,33 @@ class _CoverSearch:
         self.noncover = g.alive & ~self.cover_mask
         nbr = g.neighbor_masks()
         self.cover_nbrs = tuple((1 << s, nbr[s]) for s in cover_set)  # for key's alive cover
-        # Per side, the cover-internal edges it may play; the cheap cover
-        # test runs first and keeps few edges.
+        # Per side, as edge masks: each vertex's edges to the cover that
+        # the side may play, in increasing id, and the cover-internal
+        # ones among them, each taken at its lower end, so in edge order.
         cm = self.cover_mask
-        inner = [(u, v, c) for u, v, c in g.edges if cm >> u & cm >> v & 1]
+        self.to_cover = tuple(
+            tuple(tuple(1 << v | 1 << u for u in bits(r[v] & cm)) for v in range(g.n))
+            for r in side_reach(g)
+        )
         self.internal = tuple(
-            tuple(1 << u | 1 << v for u, v, c in inner if p.can_play(c)) for p in PLAYERS
+            tuple(em for u in bits(cm) for em in t[u] if em >> u + 1) for t in self.to_cover
         )
         self.tables: dict[int, tuple] = {}  # per alive cover mask (see table)
 
     def table(self, alive_cover: int) -> tuple:
         """The cover classes of every non-cover vertex toward alive_cover,
-        without the all-absent class, as rows sorted by class masks: the
-        shift of the class's count field in the key, the member mask,
-        the cap on the count (the class's size, and when capped also its
-        number of cover neighbours), and per side the bit 1 << u of each
-        cover vertex u joined to the class by an edge that side may
-        play."""
+        without the all-absent class, as rows (shift, members, cap)
+        sorted by class masks: the shift of the class's count field in
+        the key, the member mask, and the cap on the count (the class's
+        size, and when capped also its number of cover neighbours)."""
         classes = cover_classes(self.g, self.noncover, alive_cover)
         classes.pop((0, 0, 0), None)
-        rows = []
-        shift = 0
+        rows, shift = [], 0
         for masks, members in sorted(classes.items()):
-            joins = (sum(masks[c - 1] for c in playable) for playable in PLAYABLE)
-            cover_bits = tuple(tuple(1 << u for u in bits(j)) for j in joins)
             cap = len(members)
             if self.capped:
                 cap = min(cap, (masks[0] | masks[1] | masks[2]).bit_count())
-            rows.append((shift, sum(1 << v for v in members), cap, cover_bits))
+            rows.append((shift, sum(1 << v for v in members), cap))
             shift += cap.bit_length()
         return tuple(rows)
 
@@ -109,24 +109,21 @@ class _CoverSearch:
         if rows is None:
             rows = self.tables[alive_cover] = self.table(alive_cover)
         packed = 0
-        for shift, members, cap, _ in rows:
+        for shift, members, cap in rows:
             if alive := members & mask:
                 c = alive.bit_count()
                 packed += (c if c < cap else cap) << shift
         return (alive_cover, packed, side)
 
     def candidates(self, mask: int, side: int, key) -> list[Move]:
-        """The side's cover-internal moves, dead ones included (the search
-        skips them), then per alive row of the key's table the edges of
-        the class representative, its lowest alive member, to the row's
-        cover bits for the side, all as edge masks."""
+        """The side's cover-internal moves, then per alive row of the
+        key's table the side's edges from the row's lowest alive member to
+        the cover, as edge masks, dead ends included (the search skips them)."""
         moves = list(self.internal[side])
-        for _, members, _, cover_bits in self.tables[key[0]]:
-            alive = members & mask
-            if alive:
-                rb = alive & -alive
-                for bu in cover_bits[side]:
-                    moves.append(bu | rb)
+        to_cover = self.to_cover[side]
+        for _, members, _ in self.tables[key[0]]:
+            if alive := members & mask:
+                moves += to_cover[(alive & -alive).bit_length() - 1]
         return moves
 
 
@@ -136,23 +133,19 @@ def vc_canonical_key(
     """The engine's count-mode (uncapped) memo key of a position for a
     fixed cover, decoded (exposed for testing): the mask of alive,
     non-isolated cover vertices, the sorted (class masks, class size)
-    pairs, and the side to move as its index in PLAYERS (0 = B, 1 = W)."""
+    pairs, and the side to move as its index in PLAYERS (0 = B, 1 = W).
+    It decodes each row's field and reads its masks off the row's lowest member."""
     cs = _CoverSearch(g, cover)
     alive_cover, packed, side = cs.key(resolve_alive(g, alive), PLAYERS.index(turn))
-    classes = cover_classes(g, cs.noncover, alive_cover)
-    classes.pop((0, 0, 0), None)
     pairs = []
-    for masks, members in sorted(classes.items()):
-        width = len(members).bit_length()
-        if count := packed & ((1 << width) - 1):
-            pairs.append((masks, count))
-        packed >>= width
+    for shift, members, cap in cs.tables[alive_cover]:
+        if count := packed >> shift & ((1 << cap.bit_length()) - 1):
+            v = (members & -members).bit_length() - 1
+            pairs.append((tuple(m[v] & alive_cover for m in g.color_masks()), count))
     return (alive_cover, tuple(pairs), side)
 
 
-def solve_vc(
-    g: ColoredGraph, turn: Player, cover: Optional[Iterable[int]] = None
-) -> Outcome:
+def solve_vc(g: ColoredGraph, turn: Player, cover: Optional[Iterable[int]] = None) -> Outcome:
     """Solve with a supplied cover, or a freshly computed minimum one,
     each class keyed up to its number of alive cover neighbours."""
     return search(g, turn, lambda: _CoverSearch(g, cover, True), short_circuit=True)

@@ -480,6 +480,19 @@ def test_suite_field_types_exit_2(tmp_path, capsys):
             "suites": [{"generator": "lower-nd", "grid": {"k": [3], "s": [2]},
                         "restrict_clique_edges": "false"}]
         },
+        # Each spec below would run nothing and print a header-only CSV.
+        "suite entry field 'repetitions' must be at least 1, not 0": {
+            "suites": [{"generator": "random", "grid": {"n": [4], "p": [0.5]}, "repetitions": 0}]
+        },
+        "suite entry field 'repetitions' must be at least 1, not -1": {
+            "suites": [{"generator": "random", "grid": {"n": [4], "p": [0.5]}, "repetitions": -1}]
+        },
+        "suite field 'engines' must not be empty": {
+            "engines": [], "suites": [{"generator": "grid", "grid": {"rows": [2], "cols": [2]}}]
+        },
+        "suite entry field 'engines' must not be empty": {
+            "suites": [{"generator": "grid", "grid": {"rows": [2], "cols": [2]}, "engines": []}]
+        },
     }
     booleans_as_integers = [  # messages already above, given a JSON boolean
         ("suite field 'seed' must be a JSON integer", {"seed": True, "suites": []}),

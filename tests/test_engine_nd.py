@@ -20,7 +20,9 @@ from cak import (
     solve_subset,
 )
 from cak.engines import nd as nd_engine
+from cak.engines.common import PLAYERS, side_reach
 from cak.generators import lower_nd_clique_vertices
+from cak.graph import induced_mask
 
 from _oracles import build, count_keyed_nd, random_lettered_edges, twin_blowups
 
@@ -33,6 +35,25 @@ def test_matches_subset_on_random_instances():
         g = build(n, random_lettered_edges(rng, n, rng.choice([0.3, 0.6]), letters))
         for turn in (Player.B, Player.W):
             assert solve_nd(g, turn).winner is solve_subset(g, turn).winner
+
+
+def test_side_reach_is_each_sides_playable_neighbours():
+    """side_reach, which nd's pair filter and vc's edge lists are built
+    from, equals an oracle read off g.edges with Player.can_play, on
+    random colored graphs and on sub-positions of them."""
+    rng = random.Random(2911)
+    for case in range(60):
+        n = rng.randrange(1, 12)
+        letters = rng.choice(["g", "gbw", "bw", "b"])
+        g = build(n, random_lettered_edges(rng, n, rng.choice([0.3, 0.6]), letters))
+        for h in (g, induced_mask(g, rng.getrandbits(n))):
+            want = [[0] * n for _ in PLAYERS]
+            for side, player in enumerate(PLAYERS):
+                for u, v, c in h.edges:
+                    if player.can_play(c):
+                        want[side][u] |= 1 << v
+                        want[side][v] |= 1 << u
+            assert side_reach(h) == tuple(map(tuple, want))
 
 
 def test_supplied_partitions():

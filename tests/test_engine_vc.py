@@ -198,7 +198,10 @@ def test_one_search_object_keys_every_position_like_a_fresh_one():
     positions: one _CoverSearch reused over every reachable position
     gives the packed key and the candidates of a fresh object, and that
     key decodes (vc_canonical_key) to an oracle built from
-    equivalence_classes. Its
+    equivalence_classes. A capped (solve-mode) object, reused the same
+    way, keys like a fresh capped one and lists the same candidates as
+    the uncapped one: its rows differ only in their caps, and the moves
+    do not read the caps. The
     live candidates, as edge masks, are the oracle's: the alive, playable
     cover-internal edges, plus each class's lowest member joined by a
     playable edge to each alive cover vertex. They also come in the
@@ -215,6 +218,7 @@ def test_one_search_object_keys_every_position_like_a_fresh_one():
         larger = minimum | set(rng.sample(range(n), rng.randrange(1, n)))
         for cover in (minimum, larger):
             cs = _CoverSearch(g, cover)
+            capped = _CoverSearch(g, cover, True)
             positions = sorted(
                 reachable_positions(g, Player.B) | reachable_positions(g, Player.W),
                 key=lambda p: (-p[0].bit_count(), p[0], p[1] is Player.W),
@@ -234,6 +238,9 @@ def test_one_search_object_keys_every_position_like_a_fresh_one():
                 want = fresh.candidates(mask, side, fresh.key(mask, side))
                 got = cs.candidates(mask, side, key)
                 assert got == want
+                capped_key = capped.key(mask, side)
+                assert capped_key == _CoverSearch(g, cover, True).key(mask, side)
+                assert capped.candidates(mask, side, capped_key) == got
                 oracle = [
                     1 << u | 1 << v
                     for u, v, c in g.edges

@@ -89,10 +89,15 @@ def test_vc_accounting():
     assert triple(count_vc_positions(g, Player.B)) == (3799, 3476, 323)
     out = solve_vc(g, Player.B)
     assert (out.winner, out.winning_move, triple(out.stats)) == (Player.W, None, (81, 54, 27))
+    out = solve_vc(g, Player.W)
+    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.B, None, (73, 50, 23))
     g = build(9, VC_WIN)
     assert triple(count_vc_positions(g, Player.B)) == (188, 117, 71)
     out = solve_vc(g, Player.B)
     assert (out.winner, out.winning_move, triple(out.stats)) == (Player.B, (4, 5), (80, 37, 43))
+    assert triple(count_vc_positions(g, Player.W)) == (202, 129, 73)
+    out = solve_vc(g, Player.W)
+    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.W, (1, 2), (26, 10, 16))
 
 
 def test_nd_accounting():
