@@ -6,7 +6,7 @@ vc      memo on cover-class keys, moves thinned to representatives
 nd      memo on the alive mask; each module's survivors are its highest
         members, so the mask is canonical
 tree    Sprague-Grundy on gray forests, canonical-form memo
-auto    tree, vc if tau <= VC_THRESHOLD, nd if n - nu >= ND_MIN_MERGED, else subset
+auto    tree, vc if tau <= VC_THRESHOLD, nd if nu < n (twins exist), else subset
 
 vc and nd share one memoized search (common.search) and differ only in
 their candidate moves, edge masks whose (u, v) the root reads off the
@@ -56,13 +56,10 @@ GRUNDY = {"naive": grundy_naive, "tree": grundy_tree}
 SUBTREE_COUNTERS = {"ak-subtrees": count_ak_subtrees, "nk-subtrees": count_nk_subtrees}
 ENGINE_NAMES = (*SOLVERS, "auto")
 VC_THRESHOLD = 8  # auto picks vc when a cover of at most this size exists
-# auto picks nd when twins merge at least this many vertices (n - nu):
-# below it, nd's dearer nodes cost more time than its merging saves.
-ND_MIN_MERGED = 4
 
 
 def pick_auto_engine(g: ColoredGraph) -> str:
-    """The paper's dispatch: tree, vc (small tau), nd (many twins), subset."""
+    """The paper's dispatch: tree, vc (small tau), nd (twins), subset."""
     try:
         check_gray_forest(g)
     except ValueError:
@@ -71,7 +68,7 @@ def pick_auto_engine(g: ColoredGraph) -> str:
         return "tree"
     if cover_at_most(g, VC_THRESHOLD):
         return "vc"
-    return "nd" if g.alive.bit_count() - nd_partition(g).count >= ND_MIN_MERGED else "subset"
+    return "nd" if nd_partition(g).count < g.alive.bit_count() else "subset"
 
 
 def select_engine(

@@ -61,6 +61,15 @@ def side_reach(g: ColoredGraph) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def edges_to(g: ColoredGraph, target: int) -> tuple[tuple[tuple[Move, ...], ...], ...]:
+    """Per side, indexed like PLAYERS, each vertex v's playable edges to
+    the vertex set target, as edge masks 1 << v | 1 << u in increasing u."""
+    return tuple(
+        tuple(tuple(1 << v | 1 << u for u in bits(r[v] & target)) for v in range(g.n))
+        for r in side_reach(g)
+    )
+
+
 def playable_edges(g: ColoredGraph, player: Player) -> tuple[Move, ...]:
     return tuple(1 << u | 1 << v for u, v, c in g.edges if player.can_play(c))
 

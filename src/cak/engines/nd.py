@@ -13,18 +13,19 @@ it over 2^MAX_KEY_BITS is refused. That is the one capacity check of
 the alive-mask search; subset, on one-vertex modules, has bound 2^alive.
 
 Between two modules adjacency is uniform (every pair or no pair, one
-color), and inside a module likewise, so one candidate edge per module
-pair (taken between lowest alive members) covers every playable edge
-up to isomorphism of the child.
+color), and inside a module likewise, so one edge per module pair, at
+lowest alive members, covers every playable edge up to isomorphism of
+the child; a larger module (two or more members) plays its lowest alive
+member's edges to one-vertex modules, off common.edges_to as vc does.
 
-Move order: each side's playable module pairs are sorted once per
-search, those whose edges destroy the most opponent edges of the start
-graph first, ties on (i, j): a move that leaves the opponent few
-replies likely wins, so the search cuts off sooner. Pairs of two
-one-vertex modules are fixed edges, kept as one tuple of masks and
-tried first. No order changes whether an inner position's mover wins,
-and the root sorts its candidates again. On one-vertex modules every
-pair is fixed: that search is the subset engine.
+Move order, per side: fixed edges (between one-vertex modules), the
+larger modules' edges to one-vertex modules, then pairs of larger
+modules, the first and last sorted once per search by how many opponent
+edges of the start graph they destroy, most first, ties in (u, v) and
+(i, j) order: a move that leaves the opponent few replies likely wins,
+so the search cuts off sooner. No order changes whether an inner
+position's mover wins, and the root sorts its candidates again. On
+one-vertex modules every edge is fixed: that search is the subset engine.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Iterable, Optional, Sequence
 
 from ..graph import ColoredGraph, Player, VertexError, bits
 from ..params import ModulePartition, nd_partition
-from .common import CapacityError, Move, Outcome, SearchStats, search, side_reach
+from .common import CapacityError, Move, Outcome, SearchStats, edges_to, search, side_reach
 
 # The default limit on log2 prod(|M_i| + 1), the key space of an
 # alive-mask search: nd's bound, and subset's default max_n.
@@ -85,55 +86,53 @@ class _ModuleSearch:
     key = None  # the search keys a position on its alive mask
 
     def __init__(self, g: ColoredGraph, modules, restrict_to: Optional[Iterable[int]]):
-        self.module_masks = tuple(sum(1 << v for v in m) for m in modules)
-        edges = g.edges
+        self.module_masks = mm = tuple(sum(1 << v for v in m) for m in modules)
+        inside = g.alive
         if restrict_to is not None:
             # Only a union of modules keeps the representative edges exact.
-            inside = set(restrict_to)
-            if any(0 < sum(v in inside for v in m) < len(m) for m in modules):
+            kept = set(restrict_to)
+            if any(0 < sum(v in kept for v in m) < len(m) for m in modules):
                 raise ValueError("restriction set must be a union of modules")
-            edges = [(u, v, c) for u, v, c in edges if u in inside and v in inside]
-        module_of = {v: i for i, m in enumerate(modules) for v in m}
-        # Each module pair (i, j), i <= j, joined by an edge, with its
-        # first edge and that edge's lower end; i == j is an edge inside a
-        # module. Twins give all edges of a pair one color and one
-        # destroyed count, so that edge speaks for the pair.
-        pairs: dict[tuple[int, int], tuple[int, Move]] = {}
-        for u, v, _ in edges:
-            i, j = sorted((module_of[u], module_of[v]))
-            pairs.setdefault((i, j), (u, 1 << u | 1 << v))
+            inside = sum(m for m, module in zip(mm, modules) if module[0] in kept)
+        one = sum(m for m in mm if m & inside and not m & m - 1)
+        larger = [i for i, m in enumerate(mm) if m & inside and m & m - 1]
         reach = side_reach(g)
-        # Per side, in the order the module docstring gives: the fixed
-        # edges, then the other pairs.
-        self.sides = []
-        for side, mine in enumerate(reach):
-            fixed, rest = [], []
-            for _, (i, j), em in sorted(
-                (-_destroyed(em, reach[side ^ 1]), ij, em)
-                for ij, (u, em) in pairs.items()
-                if mine[u] & em
-            ):
-                if len(modules[i]) == len(modules[j]) == 1:
-                    fixed.append(em)
-                else:
-                    rest.append((i, j))
-            self.sides.append((tuple(fixed), tuple(rest)))
+        self.sides = []  # per side: fixed edges, and None or what candidates adds
+        for side, to_one in enumerate(edges_to(g, one)):
+            opp = reach[side ^ 1]
+            fixed = [em for u in bits(one) for em in to_one[u] if em >> u + 1]
+            fixed.sort(key=lambda em: -_destroyed(em, opp))  # stable: ties stay in (u, v) order
+            groups = tuple(mm[i] for i in larger if to_one[modules[i][0]])
+            # Twins give a pair's edges one color and count: first members speak for it.
+            pairs = []
+            for at, i in enumerate(larger):
+                for j in larger[at:]:
+                    u, v = modules[i][0], modules[j][1 if i == j else 0]
+                    if reach[side][u] >> v & 1:
+                        pairs.append((-_destroyed(1 << u | 1 << v, opp), i, j))
+            pairs = tuple((mm[i], mm[j]) for _, i, j in sorted(pairs))
+            self.sides.append((tuple(fixed), (groups, to_one, pairs) if larger else None))
 
     def candidates(self, mask: int, side: int, key: int) -> Sequence[Move]:
-        """The side's fixed edges, then one edge mask per other playable
-        module pair with both ends alive: the lowest alive member of
-        module i and the lowest other alive member of module j."""
-        fixed, pairs = self.sides[side]
-        if not pairs:
-            return fixed
-        mm = self.module_masks
-        moves = list(fixed)
-        for i, j in pairs:
-            a = mask & mm[i]
-            low = a & -a
-            b = mask & mm[j] & ~low
-            if a and b:  # when i == j, b needs a second alive member
-                moves.append(low | b & -b)
+        """The side's fixed edges, each larger module's lowest alive
+        member's edges to one-vertex modules, then per playable pair of
+        larger modules i <= j the edge from i's lowest alive member to
+        j's lowest other one, when both are alive."""
+        moves, rest = self.sides[side]
+        if rest is None:
+            return moves
+        groups, to_one, pairs = rest
+        for m in groups:
+            if a := mask & m:
+                moves += to_one[(a & -a).bit_length() - 1]
+        if pairs:
+            moves = list(moves)
+            for mi, mj in pairs:
+                a = mask & mi
+                low = a & -a
+                b = mask & mj & ~low
+                if a and b:  # when i == j, b needs a second alive member
+                    moves.append(low | b & -b)
         return moves
 
 
@@ -152,9 +151,8 @@ def _build(
 
 
 def solve_nd(g: ColoredGraph, turn: Player, partition=None) -> Outcome:
-    """Solve with a supplied module partition (validated: pairwise
-    colored twins covering the alive vertices) or the computed coarsest
-    one."""
+    """Solve with a supplied module partition (validated: pairwise colored
+    twins covering the alive vertices) or the computed coarsest one."""
     return search(g, turn, lambda: _build(g, _resolve_partition(g, partition)), True)
 
 

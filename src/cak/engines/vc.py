@@ -15,8 +15,8 @@ of the class representative (smallest alive member): any playable edge
 into a class produces a child with the same key as the representative's
 edge, so nothing is lost. Inner positions try the cover-internal edges
 first, then the class moves in table order (see below), both read off
-per-side edge lists built once per search; an edge to a dead cover
-vertex stays in them (the search skips it).
+per-side edge lists built once per search (common.edges_to, as in nd);
+an edge to a dead cover vertex stays in them (the search skips it).
 
 Normalization: cover vertices that are isolated in the current position
 are dropped from the key, and so are non-cover vertices with an
@@ -51,7 +51,7 @@ from typing import Iterable, Optional
 
 from ..graph import ColoredGraph, Player, bits, resolve_alive
 from ..params import as_cover, cover_classes, min_vertex_cover
-from .common import PLAYERS, Move, Outcome, SearchStats, search, side_reach
+from .common import PLAYERS, Move, Outcome, SearchStats, edges_to, search
 
 VcKey = tuple[int, int, int]  # alive cover mask, packed class sizes, side
 _ClassPairs = tuple[tuple[tuple[int, int, int], int], ...]  # sorted (class masks, size)
@@ -66,14 +66,10 @@ class _CoverSearch:
         self.noncover = g.alive & ~self.cover_mask
         nbr = g.neighbor_masks()
         self.cover_nbrs = tuple((1 << s, nbr[s]) for s in cover_set)  # for key's alive cover
-        # Per side, as edge masks: each vertex's edges to the cover that
-        # the side may play, in increasing id, and the cover-internal
-        # ones among them, each taken at its lower end, so in edge order.
+        # Per side: each vertex's playable edges to the cover, and the cover-
+        # internal ones among them, each taken at its lower end (edge order).
         cm = self.cover_mask
-        self.to_cover = tuple(
-            tuple(tuple(1 << v | 1 << u for u in bits(r[v] & cm)) for v in range(g.n))
-            for r in side_reach(g)
-        )
+        self.to_cover = edges_to(g, cm)
         self.internal = tuple(
             tuple(em for u in bits(cm) for em in t[u] if em >> u + 1) for t in self.to_cover
         )

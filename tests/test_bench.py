@@ -18,7 +18,7 @@ from cak.bench import (
     records_to_csv,
     run_bench,
 )
-from cak.engines import ND_MIN_MERGED, SOLVERS, VC_THRESHOLD
+from cak.engines import SOLVERS, VC_THRESHOLD
 from cak.graph import Player
 from cak.params import cover_at_most
 
@@ -211,15 +211,15 @@ def test_pick_auto_engine_cuts_tau_at_the_threshold():
     assert pick_auto_engine(clique(10)) == "nd"
 
 
-@pytest.mark.parametrize("copies, engine", [(0, "subset"), (3, "subset"), (4, "nd")])
-def test_pick_auto_engine_cuts_merged_twins_at_the_constant(copies, engine):
+@pytest.mark.parametrize("copies, engine", [(0, "subset"), (1, "nd"), (3, "nd"), (4, "nd")])
+def test_pick_auto_engine_takes_nd_wherever_twins_exist(copies, engine):
     """gen_random(14, 0.4) is twin-free with tau over the threshold.
     Each copy of vertex 0 (same colored neighbours, not adjacent to it)
-    joins 0's module and merges one more vertex: nd is picked from
-    ND_MIN_MERGED = 4 merged vertices on."""
+    joins 0's module and merges one more vertex: nd is picked from one
+    merged vertex on (nu < n), and subset only on the twin-free graph."""
     g = gen_random(14, 0.4)
     copied = [(v, g.n + i, c) for i in range(copies) for u, v, c in g.edges if u == 0]
     blown = ColoredGraph(g.n + copies, g.edges + tuple(copied))
-    assert ND_MIN_MERGED == 4 and nd_partition(blown).count == g.n
+    assert nd_partition(blown).count == g.n
     assert not cover_at_most(blown, VC_THRESHOLD)
     assert pick_auto_engine(blown) == engine

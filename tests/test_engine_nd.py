@@ -20,7 +20,7 @@ from cak import (
     solve_subset,
 )
 from cak.engines import nd as nd_engine
-from cak.engines.common import PLAYERS, side_reach
+from cak.engines.common import PLAYERS, edges_to, side_reach
 from cak.generators import lower_nd_clique_vertices
 from cak.graph import induced_mask
 
@@ -38,22 +38,31 @@ def test_matches_subset_on_random_instances():
 
 
 def test_side_reach_is_each_sides_playable_neighbours():
-    """side_reach, which nd's pair filter and vc's edge lists are built
-    from, equals an oracle read off g.edges with Player.can_play, on
-    random colored graphs and on sub-positions of them."""
+    """side_reach, and edges_to toward a random target, from which nd's
+    and vc's per-side edge lists are built, equal oracles read off
+    g.edges with Player.can_play, on random colored graphs and on
+    sub-positions of them."""
     rng = random.Random(2911)
     for case in range(60):
         n = rng.randrange(1, 12)
         letters = rng.choice(["g", "gbw", "bw", "b"])
         g = build(n, random_lettered_edges(rng, n, rng.choice([0.3, 0.6]), letters))
         for h in (g, induced_mask(g, rng.getrandbits(n))):
+            target = rng.getrandbits(n)
             want = [[0] * n for _ in PLAYERS]
+            want_edges = [[[] for _ in range(n)] for _ in PLAYERS]
             for side, player in enumerate(PLAYERS):
                 for u, v, c in h.edges:
                     if player.can_play(c):
                         want[side][u] |= 1 << v
                         want[side][v] |= 1 << u
+                        for a, b in ((u, v), (v, u)):
+                            if target >> b & 1:
+                                want_edges[side][a].append((b, 1 << a | 1 << b))
             assert side_reach(h) == tuple(map(tuple, want))
+            assert edges_to(h, target) == tuple(
+                tuple(tuple(em for _, em in sorted(row)) for row in rows) for rows in want_edges
+            )
 
 
 def test_supplied_partitions():

@@ -17,7 +17,6 @@ from cak import (
     solve_vc,
 )
 from cak.engines import (
-    ND_MIN_MERGED,
     VC_THRESHOLD,
     nd as nd_engine,
     select_engine,
@@ -89,15 +88,15 @@ def test_nd_under_a_finer_partition_agrees_with_naive(case):
 @given(twin_blowups(), st.sampled_from([0, 2, VC_THRESHOLD]))
 def test_auto_on_twin_blowups_agrees_with_naive(case, threshold):
     """auto past the tree and vc cuts takes nd exactly where twins
-    merge at least ND_MIN_MERGED vertices (n - nu). Blow-ups this small
-    mostly have tau under the constant threshold, so lower ones are
-    patched in too, to reach that branch on graphs naive can check."""
+    exist (nu < n), else subset. Blow-ups this small mostly have tau
+    under the constant threshold, so lower ones are patched in too, to
+    reach that branch on graphs naive can check."""
     g, _ = case
     nu = len(twin_classes_oracle(g.edges, range(g.n)))
     with patch("cak.engines.VC_THRESHOLD", threshold):
         engine, solve = select_engine("auto", g, count_mode=False)
     if engine not in ("tree", "vc"):
-        assert (engine == "nd") == (g.n - nu >= ND_MIN_MERGED)
+        assert (engine == "nd") == (nu < g.n)
     for turn in Player:
         out, want = solve(g, turn), solve_naive(g, turn)
         assert (out.winner, out.winning_move) == (want.winner, want.winning_move)

@@ -104,7 +104,7 @@ def test_nd_accounting():
     g = gen_lower_nd(3, 4)
     assert triple(count_nd_positions(g, Player.B)) == (1954, 1590, 364)
     out = solve_nd(g, Player.W)
-    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.W, (0, 1), (251, 142, 109))
+    assert (out.winner, out.winning_move, triple(out.stats)) == (Player.W, (0, 1), (179, 94, 85))
 
 
 @pytest.mark.parametrize("first", list(Player), ids=lambda p: p.value)
