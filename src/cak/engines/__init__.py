@@ -1,7 +1,9 @@
 """Winner-determination engines and the registry that names them.
 
 naive   exhaustive recursion, no memo (the reference oracle)
-subset  nd on the one-vertex partition: the alive-mask search, no merging
+subset  memo on the set of remaining edges: positions that differ only
+        in isolated vertices share a key (count mode: nd on one-vertex
+        modules)
 vc      memo on cover-class keys, moves thinned to representatives
 nd      memo on the alive mask; each module's survivors are its highest
         members, so the mask is canonical
@@ -10,12 +12,14 @@ auto    tree, vc if tau <= VC_THRESHOLD, nd if nu < n (twins exist), else subset
 
 vc and nd share one memoized search (common.search) and differ only in
 their candidate moves, edge masks whose (u, v) the root reads off the
-winning one; subset is nd's search, every module one vertex. Each hands
-the search a builder for its set-up, which the search times as part of
+winning one; subset counts with nd's search, every module one vertex,
+and solves with its own search over edge sets. Each hands the shared
+search a builder for its set-up, which the search times as part of
 elapsed. The search keys a position on its alive mask; vc alone
-supplies a key, because it merges isomorphic positions. nd's builder
-is the one capacity check of both: a key space prod(|M_i| + 1) over
-2^32 is refused (2^max_n for subset, whose bound is 2^alive).
+supplies a key, because it merges isomorphic positions. nd's key-space
+check is the one capacity check of nd and subset: a key space
+prod(|M_i| + 1) over 2^32 is refused (2^max_n for subset, whose bound
+is 2^alive).
 """
 
 from inspect import signature

@@ -22,9 +22,10 @@ class SearchStats:
     node_expansions counts recursion-tree nodes visited: every evaluation
     of a position, where an answer served from the memo table is a leaf
     visit. memo_hits counts those leaf visits; distinct_keys is the final
-    memo size. The search probes a child's key before it recurses, so
-    node_expansions is the recursive calls made plus the memo hits; with
-    short-circuit disabled, that is the whole memoized recursion tree.
+    memo size. Every other visit stores one new key (a move leaves fewer
+    edges, so a position's key is not met below it), so node_expansions
+    is memo_hits + distinct_keys; with short-circuit disabled, that is
+    the whole memoized recursion tree.
     elapsed is the whole search in seconds, and setup_s the part of it
     spent on the engine's set-up before the first position.
     """
@@ -61,12 +62,15 @@ def side_reach(g: ColoredGraph) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def edges_to(g: ColoredGraph, target: int) -> tuple[tuple[tuple[Move, ...], ...], ...]:
-    """Per side, indexed like PLAYERS, each vertex v's playable edges to
-    the vertex set target, as edge masks 1 << v | 1 << u in increasing u."""
+def edges_to(
+    reach: Sequence[Sequence[int]], target: int
+) -> tuple[tuple[tuple[Move, ...], ...], ...]:
+    """Per side of side_reach's result reach, each vertex v's playable
+    edges to the vertex set target, as edge masks 1 << v | 1 << u in
+    increasing u."""
     return tuple(
-        tuple(tuple(1 << v | 1 << u for u in bits(r[v] & target)) for v in range(g.n))
-        for r in side_reach(g)
+        tuple(tuple(1 << v | 1 << u for u in bits(m & target)) for v, m in enumerate(r))
+        for r in reach
     )
 
 
@@ -120,20 +124,19 @@ def search(
     setup_s = perf_counter() - started
     key, moves = engine.key, engine.candidates
     memo: dict = {}
-    nodes, hits = 1, 0  # the root is visited and is never a memo hit
+    hits = 0
 
     def first_win(mask: int, side: int, candidates: Sequence[Move]) -> Optional[Move]:
         """The first winning candidate's mask of a position, or None.
         Each child's key is probed here, so a memo hit costs no call,
         and a miss stores the child's answer."""
-        nonlocal nodes, hits
+        nonlocal hits
         found = None
         opp = side ^ 1
         for em in candidates:
             if mask & em == em:
                 child = mask ^ em
                 ck = child if key is None else key(child, opp)
-                nodes += 1
                 won = memo.get(ck)
                 if won is None:
                     won = memo[ck] = first_win(child, opp, moves(child, opp, ck)) is not None
@@ -150,7 +153,7 @@ def search(
     with recursion_capacity():
         move = first_win(g.alive, side, sorted(moves(g.alive, side, k), key=bits))
     memo[k] = move is not None
-    stats = SearchStats(nodes, hits, len(memo), perf_counter() - started, setup_s)
+    stats = SearchStats(hits + len(memo), hits, len(memo), perf_counter() - started, setup_s)
     winner = turn if move is not None else turn.opponent
     return Outcome(winner, None if move is None else tuple(bits(move)), stats)
 

@@ -10,7 +10,7 @@ determine each other on every position reached. Every move removes two
 vertices, so within one search the mask also fixes the side to move.
 The key space has size at most prod(|M_i| + 1); a partition that puts
 it over 2^MAX_KEY_BITS is refused. That is the one capacity check of
-the alive-mask search; subset, on one-vertex modules, has bound 2^alive.
+nd and subset, which on one-vertex modules has bound 2^alive.
 
 Between two modules adjacency is uniform (every pair or no pair, one
 color), and inside a module likewise, so one edge per module pair, at
@@ -25,7 +25,8 @@ edges of the start graph they destroy, most first, ties in (u, v) and
 (i, j) order: a move that leaves the opponent few replies likely wins,
 so the search cuts off sooner. No order changes whether an inner
 position's mover wins, and the root sorts its candidates again. On
-one-vertex modules every edge is fixed: that search is the subset engine.
+one-vertex modules every edge is fixed: that search is subset's count
+mode, and subset's solve mode numbers its edges in this order.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ class _ModuleSearch:
         larger = [i for i, m in enumerate(mm) if m & inside and m & m - 1]
         reach = side_reach(g)
         self.sides = []  # per side: fixed edges, and None or what candidates adds
-        for side, to_one in enumerate(edges_to(g, one)):
+        for side, to_one in enumerate(edges_to(reach, one)):
             opp = reach[side ^ 1]
             fixed = [em for u in bits(one) for em in to_one[u] if em >> u + 1]
             fixed.sort(key=lambda em: -_destroyed(em, opp))  # stable: ties stay in (u, v) order
@@ -136,17 +137,19 @@ class _ModuleSearch:
         return moves
 
 
-def _build(
-    g: ColoredGraph, modules, restrict_to=None, max_bits: int = MAX_KEY_BITS, engine: str = "nd"
-) -> _ModuleSearch:
-    """The search over resolved modules, refused, naming the engine run,
-    when its key space bound prod(|M_i| + 1) is over 2^max_bits."""
-    bound = prod(len(m) + 1 for m in modules)
+def check_key_space(bound: int, max_bits: int, engine: str) -> None:
+    """Refuse, naming the engine run, a key space bound prod(|M_i| + 1)
+    over 2^max_bits."""
     if (bound - 1).bit_length() > max_bits:  # bound > 2^max_bits, with no 2^max_bits built
         raise CapacityError(
             f"{engine} engine keys up to prod(|M_i|+1) = 2^{log2(bound):.1f} positions;"
             f" the limit is 2^{max_bits}"
         )
+
+
+def _build(g: ColoredGraph, modules, restrict_to=None) -> _ModuleSearch:
+    """The search over resolved modules, refused when its key space is too large."""
+    check_key_space(prod(len(m) + 1 for m in modules), MAX_KEY_BITS, "nd")
     return _ModuleSearch(g, modules, restrict_to)
 
 

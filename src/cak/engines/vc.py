@@ -51,7 +51,7 @@ from typing import Iterable, Optional
 
 from ..graph import ColoredGraph, Player, bits, resolve_alive
 from ..params import as_cover, cover_classes, min_vertex_cover
-from .common import PLAYERS, Move, Outcome, SearchStats, edges_to, search
+from .common import PLAYERS, Move, Outcome, SearchStats, edges_to, search, side_reach
 
 VcKey = tuple[int, int, int]  # alive cover mask, packed class sizes, side
 _ClassPairs = tuple[tuple[tuple[int, int, int], int], ...]  # sorted (class masks, size)
@@ -69,7 +69,7 @@ class _CoverSearch:
         # Per side: each vertex's playable edges to the cover, and the cover-
         # internal ones among them, each taken at its lower end (edge order).
         cm = self.cover_mask
-        self.to_cover = edges_to(g, cm)
+        self.to_cover = edges_to(side_reach(g), cm)
         self.internal = tuple(
             tuple(em for u in bits(cm) for em in t[u] if em >> u + 1) for t in self.to_cover
         )

@@ -60,7 +60,7 @@ def test_side_reach_is_each_sides_playable_neighbours():
                             if target >> b & 1:
                                 want_edges[side][a].append((b, 1 << a | 1 << b))
             assert side_reach(h) == tuple(map(tuple, want))
-            assert edges_to(h, target) == tuple(
+            assert edges_to(side_reach(h), target) == tuple(
                 tuple(tuple(em for _, em in sorted(row)) for row in rows) for rows in want_edges
             )
 
@@ -292,6 +292,6 @@ def test_key_space_over_32_bits_is_refused():
         solve_nd(ColoredGraph(33, ()), Player.B, partition=[[v] for v in range(33)])
     at_limit = solve_nd(ColoredGraph(32, ()), Player.B, partition=[[v] for v in range(32)])
     assert at_limit.winner is Player.W
-    # subset runs the same search on one-vertex modules; a raised max_n
-    # lifts its bound, and nd's does not apply.
+    # subset makes nd's check on one-vertex modules; a raised max_n lifts
+    # its bound, and nd's does not apply.
     assert solve_subset(ColoredGraph(40, ()), Player.B, max_n=40).winner is Player.W

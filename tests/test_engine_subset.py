@@ -27,13 +27,34 @@ from _oracles import build, full_count_oracle, random_lettered_edges
 
 
 def test_matches_naive_on_random_instances():
+    """"gb" and "gbw" give the sides unequal edge counts, so W's field
+    and the side flag sit past the larger side's width."""
     rng = random.Random(90)
     for case in range(60):
         n = rng.randrange(9)
-        letters = rng.choice(["g", "gbw", "bw"])
+        letters = rng.choice(["g", "gb", "gbw", "bw"])
         g = build(n, random_lettered_edges(rng, n, rng.choice([0.3, 0.6]), letters))
         for turn in (Player.B, Player.W):
-            assert solve_subset(g, turn).winner is solve_naive(g, turn).winner
+            out, want = solve_subset(g, turn), solve_naive(g, turn)
+            assert (out.winner, out.winning_move) == (want.winner, want.winning_move)
+
+
+@pytest.mark.parametrize(
+    "first, want",
+    [(Player.B, (Player.W, None, (147, 53, 94))), (Player.W, (Player.W, (0, 1), (112, 44, 68)))],
+    ids=["B", "W"],
+)
+def test_unequal_side_edge_counts(first, want):
+    """Domineering 3x5: B plays 10 vertical edges, W 12 horizontal ones.
+    Fields as wide as B's count would put the side flag inside W's
+    field and merge distinct positions; the answers would still agree,
+    but the pinned counters would not."""
+    g = gen_grid(3, 5, "domineering")
+    singles = [[v] for v in range(g.n)]
+    out = solve_subset(g, first)
+    assert (out.winner, out.winning_move, counters(out.stats)) == want
+    for other in (solve_naive(g, first), solve_nd(g, first, partition=singles)):
+        assert (other.winner, other.winning_move) == want[:2]
 
 
 def test_cram_2x3_first_player_wins():
@@ -58,19 +79,27 @@ def test_capacity_guard():
     out = solve_subset(g, Player.B, max_n=40)
     assert (out.winner, out.winning_move) == (Player.B, (0, 1))
     # The bound counts alive vertices, not the universe: 20 alive of 40
-    # solve as nd solves them on the same one-vertex modules.
+    # solve with nd's answer on the same one-vertex modules, and count
+    # as nd counts them.
     parent = gen_random(40, 0.1, seed=1)
     g = induced_mask(parent, (1 << 20) - 1)
     singles = [[v] for v in range(20)]
     out, nd_out = solve_subset(g, Player.B), solve_nd(g, Player.B, partition=singles)
     assert out.winner is nd_out.winner is Player.B
     assert out.winning_move == nd_out.winning_move
-    assert counters(out.stats) == counters(nd_out.stats)
     full = count_subset_positions(g, Player.B)
     assert counters(full) == counters(count_nd_positions(g, Player.B, partition=singles))
     for run in (solve_subset, count_subset_positions):
         with pytest.raises(CapacityError, match=r"^subset engine .* 2\^40\.0 "):
             run(parent, Player.B)
+
+
+def test_too_deep_search_is_a_capacity_error(shallow_stack):
+    # a matching of 100 edges: the first line of play is 100 moves deep
+    g = build(200, [(2 * i, 2 * i + 1, "g") for i in range(100)])
+    shallow_stack(60)
+    with pytest.raises(CapacityError, match="recursion limit"):
+        solve_subset(g, Player.B, max_n=200)
 
 
 def test_capacity_counts_alive_vertices_in_nds_format():
@@ -159,7 +188,7 @@ def _stats(result):
 @pytest.mark.parametrize(
     "run, want_stats, want_move",
     [
-        (lambda: solve_subset(gen_grid(3, 3), Player.B), (81, 32, 49), None),
+        (lambda: solve_subset(gen_grid(3, 3), Player.B), (75, 38, 37), None),
         (lambda: solve_vc(gen_grid(3, 4, "domineering"), Player.W), (50, 12, 38), (0, 1)),
         (lambda: solve_nd(gen_lower_nd(3, 2), Player.B), (90, 45, 45), None),
         (lambda: count_nd_positions(gen_lower_nd(3, 2), Player.B), (275, 200, 75), None),
@@ -172,7 +201,9 @@ def test_exact_stats(run, want_stats, want_move):
     solve triples move with the order of inner moves: nd's was recorded
     again when nd took subset's order (fixed one-vertex edges first, each
     side's moves by how many opponent edges they destroy), and again when
-    edges into one-vertex modules came before pairs of larger modules."""
+    edges into one-vertex modules came before pairs of larger modules.
+    subset's was recorded again when its solve mode began to key a
+    position on its remaining edges."""
     result = run()
     assert _stats(result) == want_stats
     assert getattr(result, "winning_move", None) == want_move

@@ -146,14 +146,15 @@ def triple(stats):
 
 
 def assert_subset_is_nd_on_single_vertices(g):
+    """Solve mode: the same winner and move, in no more keys, as subset's
+    edge sets merge nd's alive masks that leave the same edges (and, all
+    gray, the same edges with either side to move). Count mode: the same
+    search, node for node."""
     singles = [[v] for v in g.alive_vertices()]
     for turn in Player:
         out, want = solve_subset(g, turn), solve_nd(g, turn, partition=singles)
-        assert (out.winner, out.winning_move, triple(out.stats)) == (
-            want.winner,
-            want.winning_move,
-            triple(want.stats),
-        )
+        assert (out.winner, out.winning_move) == (want.winner, want.winning_move)
+        assert out.stats.distinct_keys <= want.stats.distinct_keys
         counted = count_subset_positions(g, turn)
         assert triple(counted) == triple(count_nd_positions(g, turn, partition=singles))
 
@@ -161,7 +162,6 @@ def assert_subset_is_nd_on_single_vertices(g):
 @VARIANTS
 @GRIDS
 def test_subset_is_nd_on_the_one_vertex_partition_on_grids(variant, rows, cols):
-    """Not merely the same answer: the same search, node for node."""
     assert_subset_is_nd_on_single_vertices(gen_grid(rows, cols, variant))
 
 

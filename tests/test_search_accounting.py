@@ -12,7 +12,10 @@ alive cover neighbours, merging positions of equal value, and
 the nd solve triples when nd took subset's order (subset became nd on
 the one-vertex partition): each side's module pairs sorted once by how
 many opponent edges their edges destroy, the pairs of two one-vertex
-modules, fixed edges, first. Any
+modules, fixed edges, first. The subset solve triples were recorded
+again when subset's solve mode left the shared search for its own
+search over edge sets, keyed on the edges a position has left; its
+count triples are the shared search's. Any
 change to how the driver visits positions must reproduce them
 exactly: the search tree, the memo and the counts are part of what the
 CLI prints. Count mode evaluates every child, so its triples do not
@@ -59,21 +62,26 @@ def triple(stats):
 
 # (board, first player) -> (winner, winning move, solve triple, count triple)
 SUBSET = {
-    ("cram", 4, 5, "B"): ("B", (5, 10), (30671, 18541, 12130), (423583, 364753, 58830)),
-    ("cram", 4, 5, "W"): ("W", (5, 10), (30671, 18541, 12130), (423583, 364753, 58830)),
-    ("domineering", 4, 6, "B"): ("B", (8, 14), (9828, 3695, 6133), (1027041, 788322, 238719)),
-    ("domineering", 4, 6, "W"): ("W", (1, 2), (12472, 4762, 7710), (1077919, 828284, 249635)),
+    ("cram", 4, 5, "B"): ("B", (5, 10), (22596, 15214, 7382), (423583, 364753, 58830)),
+    ("cram", 4, 5, "W"): ("W", (5, 10), (22596, 15214, 7382), (423583, 364753, 58830)),
+    ("domineering", 4, 6, "B"): ("B", (8, 14), (8666, 3804, 4862), (1027041, 788322, 238719)),
+    ("domineering", 4, 6, "W"): ("W", (1, 2), (10767, 4901, 5866), (1077919, 828284, 249635)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SUBSET), ids=lambda c: "-".join(map(str, c)))
 def test_subset_accounting(case):
+    """Also: an edge-set key merges alive masks that leave the same
+    edges, so solve mode stores no more keys than nd on one-vertex
+    modules, which keys the alive mask and tries moves in the same order."""
     variant, rows, cols, first = case
     winner, move, solved, counted = SUBSET[case]
     g = gen_grid(rows, cols, variant)
     out = solve_subset(g, Player(first))
     assert (out.winner.value, out.winning_move, triple(out.stats)) == (winner, move, solved)
     assert triple(count_subset_positions(g, Player(first))) == counted
+    singles = solve_nd(g, Player(first), partition=[[v] for v in range(g.n)])
+    assert out.stats.distinct_keys <= singles.stats.distinct_keys
 
 
 # A colored position with cover {1, 2, 3, 5} whose mover, B, wins; its
@@ -115,18 +123,19 @@ def test_restricted_nd_accounting(first):
 
 
 @pytest.mark.parametrize(
-    "engine, solve, count",
+    "engine, solve, count, modes",
     [
-        (subset_engine, solve_subset, count_subset_positions),
-        (nd_engine, solve_nd, count_nd_positions),
+        (subset_engine, solve_subset, count_subset_positions, [False]),
+        (nd_engine, solve_nd, count_nd_positions, [True, False]),
     ],
     ids=["subset", "nd"],
 )
-def test_default_key_is_the_alive_mask(engine, solve, count):
-    """subset and nd pass no key, so the search keys them on the alive
-    mask; the same search with an explicit identity key, patched into
-    the module that calls it, must give the same winner, move and
-    triple in solve and in count mode."""
+def test_default_key_is_the_alive_mask(engine, solve, count, modes):
+    """nd, and subset in count mode, pass no key, so the search keys them
+    on the alive mask; the same search with an explicit identity key,
+    patched into the module that calls it, must give the same triple in
+    each mode that calls it (modes lists their short_circuit flags), and
+    the same winner and move. subset's solve mode runs its own search."""
     calls = []
 
     def identity_keyed(g, turn, build, short_circuit):
@@ -148,37 +157,40 @@ def test_default_key_is_the_alive_mask(engine, solve, count):
             with patch.object(engine, "search", identity_keyed):
                 want = solve(g, first)
                 want_counted = count(g, first)
-            assert calls == [True, False]
-            assert (out.winner, out.winning_move, triple(out.stats)) == (
-                want.winner,
-                want.winning_move,
-                triple(want.stats),
-            )
+            assert calls == modes
+            assert (out.winner, out.winning_move) == (want.winner, want.winning_move)
+            assert triple(out.stats) == triple(want.stats)
             assert triple(counted) == triple(want_counted)
 
 
 @pytest.mark.parametrize(
-    "setup, solve, count",
+    "setups",
     [
-        (nd_engine._ModuleSearch, solve_subset, count_subset_positions),
-        (vc_engine._CoverSearch, solve_vc, count_vc_positions),
-        (nd_engine._ModuleSearch, solve_nd, count_nd_positions),
+        [
+            (subset_engine, "_edge_sides", solve_subset),
+            (nd_engine._ModuleSearch, "__init__", count_subset_positions),
+        ],
+        [(vc_engine._CoverSearch, "__init__", run) for run in (solve_vc, count_vc_positions)],
+        [(nd_engine._ModuleSearch, "__init__", run) for run in (solve_nd, count_nd_positions)],
     ],
     ids=["subset", "vc", "nd"],
 )
-def test_setup_counts_in_elapsed(setup, solve, count):
+def test_setup_counts_in_elapsed(setups):
     """elapsed runs from before the engine's set-up, not from the first
     node: a set-up slowed by 20 ms shows in it, in both modes, and
-    setup_s reports that share of it."""
-    init = setup.__init__
-
-    def slow_init(self, *args):
-        sleep(0.02)
-        init(self, *args)
-
+    setup_s reports that share of it. Each entry names the set-up one
+    mode runs and the function that runs it."""
     g = gen_grid(2, 3)
-    with patch.object(setup, "__init__", slow_init):
-        for stats in (solve(g, Player.B).stats, count(g, Player.B)):
+    for owner, name, run in setups:
+        setup = getattr(owner, name)
+
+        def slow(*args, setup=setup):
+            sleep(0.02)
+            return setup(*args)
+
+        with patch.object(owner, name, slow):
+            result = run(g, Player.B)
+            stats = getattr(result, "stats", result)
             assert 0.02 <= stats.setup_s <= stats.elapsed
 
 
