@@ -152,82 +152,97 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-@functools.cache  # one parser per process, however often main() runs in it
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("solve", "grundy", "gen", "params", "count", "bench")
+
+
+@functools.cache  # one parser per command, however often main() runs in a process
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """cak's parser. When command is one of COMMANDS, only its subparser
+    is built, under a metavar that keeps the usage line listing all of
+    them; otherwise every one is, so argparse can name the valid choices."""
     parser = argparse.ArgumentParser(
         prog="cak",
         description="Solve and instrument Colored Arc Kayles positions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    built = (command,) if command in COMMANDS else COMMANDS
+    metavar = None if built is COMMANDS else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("solve", help="determine the winner of a position")
-    p.add_argument("-f", "--file", required=True, help=".cak input file")
-    p.add_argument("--first", default="B", choices=["B", "W"], help="player to move")
-    p.add_argument(
-        "-e",
-        "--engine",
-        default="auto",
-        choices=ENGINE_NAMES,
-    )
-    p.add_argument("--max-n", type=int, help=f"subset engine's alive-vertex limit ({MAX_KEY_BITS})")
-    p.add_argument("--cover", help="comma-separated 1-based cover for the vc engine")
-    p.add_argument("--partition", help="JSON file of 1-based modules for the nd engine")
-    p.add_argument(
-        "--count-mode",
-        action="store_true",
-        help=f"full-expansion instrumentation (no short-circuit; {'/'.join(COUNTERS)})",
-    )
-    p.add_argument("--timing", action="store_true", help="include elapsed seconds")
-    p.set_defaults(func=_cmd_solve)
+    if "solve" in built:
+        p = sub.add_parser("solve", help="determine the winner of a position")
+        p.add_argument("-f", "--file", required=True, help=".cak input file")
+        p.add_argument("--first", default="B", choices=["B", "W"], help="player to move")
+        p.add_argument(
+            "-e",
+            "--engine",
+            default="auto",
+            choices=ENGINE_NAMES,
+        )
+        p.add_argument("--max-n", type=int, help=f"subset engine's alive-vertex limit ({MAX_KEY_BITS})")
+        p.add_argument("--cover", help="comma-separated 1-based cover for the vc engine")
+        p.add_argument("--partition", help="JSON file of 1-based modules for the nd engine")
+        p.add_argument(
+            "--count-mode",
+            action="store_true",
+            help=f"full-expansion instrumentation (no short-circuit; {'/'.join(COUNTERS)})",
+        )
+        p.add_argument("--timing", action="store_true", help="include elapsed seconds")
+        p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("grundy", help="Sprague-Grundy value of a gray position")
-    p.add_argument("-f", "--file", required=True)
-    p.add_argument("-e", "--engine", default="tree", choices=list(GRUNDY))
-    p.set_defaults(func=_cmd_grundy)
+    if "grundy" in built:
+        p = sub.add_parser("grundy", help="Sprague-Grundy value of a gray position")
+        p.add_argument("-f", "--file", required=True)
+        p.add_argument("-e", "--engine", default="tree", choices=list(GRUNDY))
+        p.set_defaults(func=_cmd_grundy)
 
-    p = sub.add_parser("gen", help="write a generated instance as .cak")
-    gen_sub = p.add_subparsers(dest="kind", required=True)
-    q = gen_sub.add_parser("grid")
-    q.add_argument("--rows", type=int, required=True)
-    q.add_argument("--cols", type=int, required=True)
-    q.add_argument("--variant", default="cram", choices=["cram", "domineering"])
-    q = gen_sub.add_parser("caterpillar")
-    q.add_argument("--pins", type=int, required=True)
-    q = gen_sub.add_parser("lower-vc")
-    q.add_argument("--k", type=int, required=True)
-    q = gen_sub.add_parser("lower-nd")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--s", type=int, required=True)
-    q = gen_sub.add_parser("random")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--p", type=float, required=True)
-    q.add_argument("--weights", default="1,1,1", help="gray,black,white integer weights")
-    q.add_argument("--seed", type=int, default=0)
-    for q in gen_sub.choices.values():
-        q.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gen)
+    if "gen" in built:
+        p = sub.add_parser("gen", help="write a generated instance as .cak")
+        gen_sub = p.add_subparsers(dest="kind", required=True)
+        q = gen_sub.add_parser("grid")
+        q.add_argument("--rows", type=int, required=True)
+        q.add_argument("--cols", type=int, required=True)
+        q.add_argument("--variant", default="cram", choices=["cram", "domineering"])
+        q = gen_sub.add_parser("caterpillar")
+        q.add_argument("--pins", type=int, required=True)
+        q = gen_sub.add_parser("lower-vc")
+        q.add_argument("--k", type=int, required=True)
+        q = gen_sub.add_parser("lower-nd")
+        q.add_argument("--k", type=int, required=True)
+        q.add_argument("--s", type=int, required=True)
+        q = gen_sub.add_parser("random")
+        q.add_argument("--n", type=int, required=True)
+        q.add_argument("--p", type=float, required=True)
+        q.add_argument("--weights", default="1,1,1", help="gray,black,white integer weights")
+        q.add_argument("--seed", type=int, default=0)
+        for q in gen_sub.choices.values():
+            q.add_argument("-o", "--output")
+        p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("params", help="structural parameters of an instance")
-    p.add_argument("-f", "--file", required=True)
-    p.set_defaults(func=_cmd_params)
+    if "params" in built:
+        p = sub.add_parser("params", help="structural parameters of an instance")
+        p.add_argument("-f", "--file", required=True)
+        p.set_defaults(func=_cmd_params)
 
-    p = sub.add_parser("count", help="count rooted subtrees reachable by removals")
-    p.add_argument("kind", choices=list(SUBTREE_COUNTERS))
-    p.add_argument("-f", "--file", required=True)
-    p.add_argument("--root", type=int, required=True, help="1-based root vertex")
-    p.set_defaults(func=_cmd_count)
+    if "count" in built:
+        p = sub.add_parser("count", help="count rooted subtrees reachable by removals")
+        p.add_argument("kind", choices=list(SUBTREE_COUNTERS))
+        p.add_argument("-f", "--file", required=True)
+        p.add_argument("--root", type=int, required=True, help="1-based root vertex")
+        p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("bench", help="run a benchmark suite, emit CSV")
-    p.add_argument("--suite", required=True, help="suite spec JSON file")
-    p.add_argument("-o", "--output")
-    p.add_argument("--timing", action="store_true", help="fill the elapsed column")
-    p.set_defaults(func=_cmd_bench)
+    if "bench" in built:
+        p = sub.add_parser("bench", help="run a benchmark suite, emit CSV")
+        p.add_argument("--suite", required=True, help="suite spec JSON file")
+        p.add_argument("-o", "--output")
+        p.add_argument("--timing", action="store_true", help="fill the elapsed column")
+        p.set_defaults(func=_cmd_bench)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except BenchConsistencyError as exc:

@@ -2,8 +2,9 @@
 
 naive   exhaustive recursion, no memo (the reference oracle)
 subset  memo on the set of remaining edges: positions that differ only
-        in isolated vertices share a key (count mode: nd on one-vertex
-        modules)
+        in isolated vertices share a key; its solve-mode root tries one
+        edge per orbit of symmetry.automorphisms (count mode: nd on
+        one-vertex modules)
 vc      memo on cover-class keys, moves thinned to representatives
 nd      memo on the alive mask; each module's survivors are its highest
         members, so the mask is canonical

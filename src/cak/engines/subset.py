@@ -13,6 +13,8 @@ every edge at either end in both fields. The key adds the side to move
 above both fields, except when both sides play the same edges (all
 gray): the game is then impartial, and one field serves both sides.
 Both modes refuse as nd does on one-vertex modules: 2^alive over 2^max_n.
+Once its first edge has lost, the solve-mode root tries one edge per orbit
+of g's colour-preserving automorphisms; count mode tries every edge.
 """
 
 from __future__ import annotations
@@ -87,13 +89,25 @@ def solve_subset(g: ColoredGraph, turn: Player, max_n: int = nd.MAX_KEY_BITS) ->
                 return True
         return False
 
-    # The root tries its edges in (u, v) order, so the first that wins is the smallest.
+    # The root tries its edges in (u, v) order, so the first that wins is
+    # the smallest. Once the first has lost, it skips each edge whose
+    # orbit under g's symmetries starts with another: that edge lost.
     side = PLAYERS.index(turn)
     root = fields[0][1] | fields[1][1] << fields[1][0]
     edges = order[side]
+    move = leads = None
     with recursion_capacity():
-        by_edge = sorted(range(len(edges)), key=lambda i: bits(edges[i]))
-        move = next((edges[i] for i in by_edge if wins(root, side, 1 << i)), None)
+        for i in sorted(range(len(edges)), key=lambda i: bits(edges[i])):
+            if leads and leads[edges[i]] != edges[i]:
+                continue
+            if wins(root, side, 1 << i):
+                move = edges[i]
+                break
+            if leads is None:  # the orbit work, compile included, counts as set-up
+                orbits_started = perf_counter()
+                from .symmetry import automorphisms  # not compiled by `import cak`
+                leads = automorphisms(g)[1]
+                setup_s += perf_counter() - orbits_started
     memo[root | flags[side]] = move is not None
     stats = SearchStats(hits + len(memo), hits, len(memo), perf_counter() - started, setup_s)
     return Outcome(turn if move else turn.opponent, move and tuple(bits(move)), stats)

@@ -87,6 +87,42 @@ def test_solve_output_is_byte_stable(tmp_path, capsys):
     assert first == readme_solve_example()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["slove"],
+        ["sol"],
+        ["solve"],
+        ["solve", "-f", "x.cak", "--bogus"],
+        ["gen"],
+        ["gen", "grid", "-h"],
+        ["count", "-h"],
+    ],
+    ids=["empty", "help", "unknown", "truncated", "no-file", "bad-flag", "gen", "gen-grid", "count"],
+)
+def test_parser_of_one_command_prints_what_the_full_parser_does(argv, capsys):
+    """main builds only the subparser its first argument names; whatever
+    argparse prints and exits with must be what the parser of every
+    command gives. Only names cak does not know reach the full build, the
+    one parser that can say "invalid choice" or "required: command"."""
+
+    def run(parse):
+        with pytest.raises(SystemExit) as stop:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return stop.value.code, out, err
+
+    got = run(main)
+    assert got == run(build_parser().parse_args)
+    full_only = "argument command: invalid choice" in got[2] or "required: command" in got[2]
+    assert full_only == (argv in ([], ["slove"], ["sol"]))
+    assert got[0] == (0 if "-h" in argv else 2)
+    if argv[:1] == ["gen"]:  # the parser main used for it lists no other command
+        assert "determine the winner" not in build_parser("gen").format_help()
+
+
 def test_one_parser_serves_every_call(tmp_path, capsys):
     # the parser is built once per process, and one call's options do not
     # carry over to the next
