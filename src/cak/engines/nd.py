@@ -24,9 +24,9 @@ modules, the first and last sorted once per search by how many opponent
 edges of the start graph they destroy, most first, ties in (u, v) and
 (i, j) order: a move that leaves the opponent few replies likely wins,
 so the search cuts off sooner. No order changes whether an inner
-position's mover wins, and the root sorts its candidates again. On
-one-vertex modules every edge is fixed: that search is subset's count
-mode, and subset's solve mode numbers its edges in this order.
+position's mover wins, and the root sorts its candidates again. subset
+numbers its edges in this order: on one-vertex modules every edge is
+fixed.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class _ModuleSearch:
         one = sum(m for m in mm if m & inside and not m & m - 1)
         larger = [i for i, m in enumerate(mm) if m & inside and m & m - 1]
         reach = side_reach(g)
-        self.sides = []  # per side: fixed edges, and None or what candidates adds
+        self.sides = []  # per side: fixed edges, then what candidates adds to them
         for side, to_one in enumerate(edges_to(reach, one)):
             opp = reach[side ^ 1]
             fixed = [em for u in bits(one) for em in to_one[u] if em >> u + 1]
@@ -112,17 +112,14 @@ class _ModuleSearch:
                     if reach[side][u] >> v & 1:
                         pairs.append((-_destroyed(1 << u | 1 << v, opp), i, j))
             pairs = tuple((mm[i], mm[j]) for _, i, j in sorted(pairs))
-            self.sides.append((tuple(fixed), (groups, to_one, pairs) if larger else None))
+            self.sides.append((tuple(fixed), groups, to_one, pairs))
 
     def candidates(self, mask: int, side: int, key: int) -> Sequence[Move]:
         """The side's fixed edges, each larger module's lowest alive
         member's edges to one-vertex modules, then per playable pair of
         larger modules i <= j the edge from i's lowest alive member to
         j's lowest other one, when both are alive."""
-        moves, rest = self.sides[side]
-        if rest is None:
-            return moves
-        groups, to_one, pairs = rest
+        moves, groups, to_one, pairs = self.sides[side]
         for m in groups:
             if a := mask & m:
                 moves += to_one[(a & -a).bit_length() - 1]

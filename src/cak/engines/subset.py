@@ -1,5 +1,4 @@
-"""Subset engine: solve mode searches edge sets; count mode is nd on the
-partition into single vertices, keyed on the alive mask (2^alive keys).
+"""Subset engine: one memoized search over edge sets, in both modes.
 
 A move removes its edge and every edge sharing an end (the paper's
 move), so a position is its set of remaining edges, and positions that
@@ -23,27 +22,16 @@ from time import perf_counter
 
 from ..graph import ColoredGraph, Player, bits
 from . import nd
-from .common import PLAYERS, Outcome, SearchStats, playable_edges, recursion_capacity
-from .common import search, side_reach
-
-
-def _check(g: ColoredGraph, max_n: int) -> None:
-    if max_n < 0:
-        raise ValueError(f"max_n must be >= 0, got {max_n}")
-    nd.check_key_space(1 << g.alive.bit_count(), max_n, "subset")
-
-
-def _build(g: ColoredGraph, max_n: int) -> nd._ModuleSearch:
-    _check(g, max_n)
-    # One-vertex modules are colored twins trivially, so nothing to check.
-    return nd._ModuleSearch(g, tuple((v,) for v in g.alive_vertices()), None)
+from .common import PLAYERS, Outcome, SearchStats, playable_edges, recursion_capacity, side_reach
 
 
 def _edge_sides(g: ColoredGraph, max_n: int) -> tuple:
     """Per side (indexed like PLAYERS): its edges in move order, each
     one's keep mask (the complement of its kill mask), and (shift, full
     mask) of its field; and per side to move, the flag the key adds."""
-    _check(g, max_n)
+    if max_n < 0:
+        raise ValueError(f"max_n must be >= 0, got {max_n}")
+    nd.check_key_space(1 << g.alive.bit_count(), max_n, "subset")
     reach = side_reach(g)
     order = [
         sorted(playable_edges(g, p), key=lambda em: -nd._destroyed(em, reach[side ^ 1]))
@@ -60,7 +48,9 @@ def _edge_sides(g: ColoredGraph, max_n: int) -> tuple:
     return order, keeps, fields, (0, 1 << 2 * width if width else 0)
 
 
-def solve_subset(g: ColoredGraph, turn: Player, max_n: int = nd.MAX_KEY_BITS) -> Outcome:
+def _search(g: ColoredGraph, turn: Player, max_n: int, solve: bool) -> Outcome:
+    """Both modes' search from all of g's edges, turn to move; with
+    solve off, every child is evaluated."""
     started = perf_counter()
     order, keeps, fields, flags = _edge_sides(g, max_n)
     setup_s = perf_counter() - started
@@ -72,6 +62,7 @@ def solve_subset(g: ColoredGraph, turn: Player, max_n: int = nd.MAX_KEY_BITS) ->
         lowest first, wins the position state. Each child's key is probed
         here, so a memo hit costs no call, and a miss stores its answer."""
         nonlocal hits
+        found = False
         opp = side ^ 1
         keep, flag = keeps[side], flags[opp]
         shift, field = fields[opp]
@@ -86,12 +77,15 @@ def solve_subset(g: ColoredGraph, turn: Player, max_n: int = nd.MAX_KEY_BITS) ->
             else:
                 hits += 1
             if not won:
-                return True
-        return False
+                if solve:
+                    return True
+                found = True
+        return found
 
-    # The root tries its edges in (u, v) order, so the first that wins is
-    # the smallest. Once the first has lost, it skips each edge whose
-    # orbit under g's symmetries starts with another: that edge lost.
+    # The root tries its edges in (u, v) order and keeps the first that
+    # wins, the smallest. Once the first has lost, solve mode skips each
+    # edge whose orbit under g's symmetries starts with another: that
+    # edge lost.
     side = PLAYERS.index(turn)
     root = fields[0][1] | fields[1][1] << fields[1][0]
     edges = order[side]
@@ -101,9 +95,10 @@ def solve_subset(g: ColoredGraph, turn: Player, max_n: int = nd.MAX_KEY_BITS) ->
             if leads and leads[edges[i]] != edges[i]:
                 continue
             if wins(root, side, 1 << i):
-                move = edges[i]
-                break
-            if leads is None:  # the orbit work, compile included, counts as set-up
+                move = move or edges[i]
+                if solve:
+                    break
+            elif solve and leads is None:  # the orbit work, compile included, counts as set-up
                 orbits_started = perf_counter()
                 from .symmetry import automorphisms  # not compiled by `import cak`
                 leads = automorphisms(g)[1]
@@ -113,9 +108,13 @@ def solve_subset(g: ColoredGraph, turn: Player, max_n: int = nd.MAX_KEY_BITS) ->
     return Outcome(turn if move else turn.opponent, move and tuple(bits(move)), stats)
 
 
+def solve_subset(g: ColoredGraph, turn: Player, max_n: int = nd.MAX_KEY_BITS) -> Outcome:
+    return _search(g, turn, max_n, True)
+
+
 def count_subset_positions(
     g: ColoredGraph, turn: Player, max_n: int = nd.MAX_KEY_BITS
 ) -> SearchStats:
     """Full-expansion instrumentation: every child is evaluated, so
     node_expansions counts the entire memoized recursion tree."""
-    return search(g, turn, lambda: _build(g, max_n), short_circuit=False).stats
+    return _search(g, turn, max_n, False).stats

@@ -150,29 +150,34 @@ def win_oracle(n, lettered_edges, turn):
 
 
 def full_count_oracle(n, lettered_edges, turn):
-    """(recursive calls, distinct keys) of a search memoized on (vertex
-    set, player) that evaluates every child: no short-circuit, so the
-    counts cover the whole memoized recursion tree."""
+    """(recursive calls, distinct keys) of a search that evaluates every
+    child: no short-circuit, so the counts cover the whole memoized
+    recursion tree. The memo keys a position on the set of edges left
+    (both ends alive) and the player to move; when every edge is gray
+    the game is impartial, and the key leaves the player out."""
     plays = {
         "B": [(u, v) for u, v, c in lettered_edges if c in ("g", "b")],
         "W": [(u, v) for u, v, c in lettered_edges if c in ("g", "w")],
     }
+    impartial = all(c == "g" for _, _, c in lettered_edges)
     memo = {}
     calls = 0
 
     def wins(alive, player):
         nonlocal calls
         calls += 1
-        if (alive, player) in memo:
-            return memo[(alive, player)]
+        left = frozenset((u, v) for u, v, _ in lettered_edges if u in alive and v in alive)
+        key = left if impartial else (left, player)
+        if key in memo:
+            return memo[key]
         other = "W" if player == "B" else "B"
         children = [
             wins(alive - {u, v}, other)
             for u, v in plays[player]
             if u in alive and v in alive
         ]
-        memo[(alive, player)] = not all(children)
-        return memo[(alive, player)]
+        memo[key] = not all(children)
+        return memo[key]
 
     wins(frozenset(range(n)), turn)
     return calls, len(memo)

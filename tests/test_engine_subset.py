@@ -181,7 +181,7 @@ def test_capacity_guard():
     assert (out.winner, out.winning_move) == (Player.B, (0, 1))
     # The bound counts alive vertices, not the universe: 20 alive of 40
     # solve with nd's answer on the same one-vertex modules, and count
-    # as nd counts them.
+    # in no more keys than nd's alive masks there.
     parent = gen_random(40, 0.1, seed=1)
     g = induced_mask(parent, (1 << 20) - 1)
     singles = [[v] for v in range(20)]
@@ -189,7 +189,8 @@ def test_capacity_guard():
     assert out.winner is nd_out.winner is Player.B
     assert out.winning_move == nd_out.winning_move
     full = count_subset_positions(g, Player.B)
-    assert counters(full) == counters(count_nd_positions(g, Player.B, partition=singles))
+    assert counters(full) == (21095, 16848, 4247)
+    assert full.distinct_keys <= count_nd_positions(g, Player.B, partition=singles).distinct_keys
     for run in (solve_subset, count_subset_positions):
         with pytest.raises(CapacityError, match=r"^subset engine .* 2\^40\.0 "):
             run(parent, Player.B)
@@ -268,8 +269,8 @@ def lettered(g):
 def test_count_mode_expands_every_child():
     cram = gen_grid(3, 3)
     stats = count_subset_positions(cram, Player.B)
-    assert (stats.node_expansions, stats.distinct_keys) == (301, 98)
-    assert full_count_oracle(cram.n, lettered(cram), "B") == (301, 98)
+    assert (stats.node_expansions, stats.distinct_keys) == (289, 78)
+    assert full_count_oracle(cram.n, lettered(cram), "B") == (289, 78)
     rng = random.Random(61)
     for _ in range(30):
         n = rng.randrange(1, 9)

@@ -27,7 +27,7 @@ from cak.engines.common import search
 from cak.engines.tree import check_gray_forest
 from cak.params import min_vertex_cover, nd_partition
 
-from _oracles import build, twin_blowups, twin_classes_oracle
+from _oracles import build, full_count_oracle, twin_blowups, twin_classes_oracle
 
 
 @st.composite
@@ -102,12 +102,12 @@ def test_auto_on_twin_blowups_agrees_with_naive(case, threshold):
         assert (out.winner, out.winning_move) == (want.winner, want.winning_move)
 
 
-# Each driver engine's solve mode, and the same search with every child
-# evaluated. Full expansion computes every win bit, which does not
+# Each memoized engine's solve mode, and the same search with every
+# child evaluated. Full expansion computes every win bit, which does not
 # depend on the order of the candidates, and its root tries them in
 # sorted order too, so its winning move is the smallest one.
 SOLVE_AND_FULL = (
-    (solve_subset, lambda g, turn: search(g, turn, lambda: subset_engine._build(g, g.n), False)),
+    (solve_subset, lambda g, turn: subset_engine._search(g, turn, g.n, False)),
     (solve_vc, lambda g, turn: search(g, turn, lambda: vc_engine._CoverSearch(g, None), False)),
     (
         solve_nd,
@@ -146,17 +146,20 @@ def triple(stats):
 
 
 def assert_subset_is_nd_on_single_vertices(g):
-    """Solve mode: the same winner and move, in no more keys, as subset's
-    edge sets merge nd's alive masks that leave the same edges (and, all
-    gray, the same edges with either side to move). Count mode: the same
-    search, node for node."""
+    """The same winner and move, in no more keys, as subset's edge sets
+    merge nd's alive masks that leave the same edges (and, all gray, the
+    same edges with either side to move). Count mode expands the same
+    edge sets as the oracle, in no more keys than nd's count mode."""
     singles = [[v] for v in g.alive_vertices()]
+    lettered = [(u, v, c.letter) for u, v, c in g.edges]
     for turn in Player:
         out, want = solve_subset(g, turn), solve_nd(g, turn, partition=singles)
         assert (out.winner, out.winning_move) == (want.winner, want.winning_move)
         assert out.stats.distinct_keys <= want.stats.distinct_keys
         counted = count_subset_positions(g, turn)
-        assert triple(counted) == triple(count_nd_positions(g, turn, partition=singles))
+        calls, keys = full_count_oracle(g.n, lettered, turn.value)
+        assert triple(counted) == (calls, calls - keys, keys)
+        assert counted.distinct_keys <= count_nd_positions(g, turn, partition=singles).distinct_keys
 
 
 @VARIANTS

@@ -14,8 +14,8 @@ the one-vertex partition): each side's module pairs sorted once by how
 many opponent edges their edges destroy, the pairs of two one-vertex
 modules, fixed edges, first. The subset solve triples were recorded
 again when subset's solve mode left the shared search for its own
-search over edge sets, keyed on the edges a position has left; its
-count triples are the shared search's. Any
+search over edge sets, keyed on the edges a position has left, and its
+count triples when its count mode followed onto that search. Any
 change to how the driver visits positions must reproduce them
 exactly: the search tree, the memo and the counts are part of what the
 CLI prints. Count mode evaluates every child, so its triples do not
@@ -63,10 +63,10 @@ def triple(stats):
 
 # (board, first player) -> (winner, winning move, solve triple, count triple)
 SUBSET = {
-    ("cram", 4, 5, "B"): ("B", (5, 10), (17966, 11937, 6029), (423583, 364753, 58830)),
-    ("cram", 4, 5, "W"): ("W", (5, 10), (17966, 11937, 6029), (423583, 364753, 58830)),
-    ("domineering", 4, 6, "B"): ("B", (8, 14), (7295, 3148, 4147), (1027041, 788322, 238719)),
-    ("domineering", 4, 6, "W"): ("W", (1, 2), (10767, 4901, 5866), (1077919, 828284, 249635)),
+    ("cram", 4, 5, "B"): ("B", (5, 10), (17966, 11937, 6029), (348015, 307113, 40902)),
+    ("cram", 4, 5, "W"): ("W", (5, 10), (17966, 11937, 6029), (348015, 307113, 40902)),
+    ("domineering", 4, 6, "B"): ("B", (8, 14), (7295, 3148, 4147), (921801, 727241, 194560)),
+    ("domineering", 4, 6, "W"): ("W", (1, 2), (10767, 4901, 5866), (963181, 760760, 202421)),
 }
 
 
@@ -125,18 +125,15 @@ def test_restricted_nd_accounting(first):
 
 @pytest.mark.parametrize(
     "engine, solve, count, modes",
-    [
-        (subset_engine, solve_subset, count_subset_positions, [False]),
-        (nd_engine, solve_nd, count_nd_positions, [True, False]),
-    ],
-    ids=["subset", "nd"],
+    [(nd_engine, solve_nd, count_nd_positions, [True, False])],
+    ids=["nd"],
 )
 def test_default_key_is_the_alive_mask(engine, solve, count, modes):
-    """nd, and subset in count mode, pass no key, so the search keys them
-    on the alive mask; the same search with an explicit identity key,
-    patched into the module that calls it, must give the same triple in
-    each mode that calls it (modes lists their short_circuit flags), and
-    the same winner and move. subset's solve mode runs its own search."""
+    """nd passes no key, so the search keys it on the alive mask; the
+    same search with an explicit identity key, patched into the module
+    that calls it, must give the same triple in each mode that calls it
+    (modes lists their short_circuit flags), and the same winner and
+    move. subset runs its own search over edge sets in both modes."""
     calls = []
 
     def identity_keyed(g, turn, build, short_circuit):
@@ -170,7 +167,7 @@ def test_default_key_is_the_alive_mask(engine, solve, count, modes):
         [
             (subset_engine, "_edge_sides", solve_subset),
             (symmetry, "automorphisms", solve_subset),
-            (nd_engine._ModuleSearch, "__init__", count_subset_positions),
+            (subset_engine, "_edge_sides", count_subset_positions),
         ],
         [(vc_engine._CoverSearch, "__init__", run) for run in (solve_vc, count_vc_positions)],
         [(nd_engine._ModuleSearch, "__init__", run) for run in (solve_nd, count_nd_positions)],
