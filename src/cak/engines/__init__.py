@@ -21,8 +21,9 @@ nd and subset: a key space prod(|M_i| + 1) over 2^32 is refused
 (2^max_n for subset, whose bound is 2^alive).
 """
 
+from functools import partial
 from inspect import signature
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Optional
 
 from ..graph import ColoredGraph
 from ..params import cover_at_most, nd_partition
@@ -61,8 +62,10 @@ ENGINE_NAMES = (*SOLVERS, "auto")
 VC_THRESHOLD = 8  # auto picks vc when a cover of at most this size exists
 
 
-def pick_auto_engine(g: ColoredGraph) -> str:
-    """The paper's dispatch: tree, vc (small tau), nd (twins), subset."""
+def pick_auto_engine(g: ColoredGraph, bound: Optional[dict] = None) -> str:
+    """The paper's dispatch: tree, vc (small tau), nd (twins), subset.
+    When it picks nd, the partition it computed goes into bound, if
+    given, as the option that spares nd's builder computing it again."""
     try:
         check_gray_forest(g)
     except ValueError:
@@ -71,7 +74,12 @@ def pick_auto_engine(g: ColoredGraph) -> str:
         return "tree"
     if cover_at_most(g, VC_THRESHOLD):
         return "vc"
-    return "nd" if nd_partition(g).count < g.alive.bit_count() else "subset"
+    partition = nd_partition(g)
+    if partition.count == g.alive.bit_count():
+        return "subset"
+    if bound is not None:
+        bound["partition"] = partition
+    return "nd"
 
 
 def select_engine(
@@ -81,10 +89,12 @@ def select_engine(
     options: Iterable[str] = (),
 ) -> tuple[str, Callable]:
     """The engine name stands for on g ("auto" picks one) and its
-    registry function. Raises ValueError naming that engine when it
-    takes no parameter for one of the option names, so an option meant
-    for another engine is never ignored."""
-    engine = pick_auto_engine(g) if name == "auto" else name
+    registry function, with what the pick computed bound as options that
+    a caller's own options override. Raises ValueError naming that engine
+    when it takes no parameter for one of the option names, so an option
+    meant for another engine is never ignored."""
+    bound: dict = {}
+    engine = pick_auto_engine(g, bound) if name == "auto" else name
     fn = (COUNTERS if count_mode else SOLVERS).get(engine)
     if fn is None and count_mode:
         raise ValueError(f"count mode is not supported for engine {engine!r}")
@@ -93,7 +103,7 @@ def select_engine(
     unknown = sorted(set(options) - signature(fn).parameters.keys())
     if unknown:
         raise ValueError(f"option {unknown[0]} does not apply to engine {engine!r}")
-    return engine, fn
+    return engine, partial(fn, **bound) if bound else fn
 
 
 __all__ = [

@@ -55,9 +55,9 @@ def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...
             if not isinstance(v, int):
                 raise VertexError("invalid partition: vertex {} is not an int", v)
         modules = tuple(tuple(sorted(m)) for m in modules)
-    # Twinness is an equivalence, so pairwise twins share one coarsest
-    # class, and each member need only be compared with the first.
-    class_of = {v: i for i, m in enumerate(nd_partition(g).modules) for v in m}
+    # Twins look the same from every third vertex, in every colour. That is
+    # an equivalence, so each member need only be compared with the first.
+    masks = g.color_masks()
     seen: set[int] = set()
     for module in modules:
         if not module:
@@ -69,7 +69,7 @@ def _resolve_partition(g: ColoredGraph, partition) -> tuple[tuple[int, ...], ...
                 raise VertexError("invalid partition: vertex {} appears twice", v)
             seen.add(v)
         for v in module[1:]:
-            if class_of[v] != class_of[module[0]]:
+            if any((m[v] ^ m[module[0]]) & ~(1 << v | 1 << module[0]) for m in masks):
                 raise VertexError("invalid partition: {} and {} are not colored twins", module[0], v)
     if seen != set(g.alive_vertices()):
         raise ValueError("invalid partition: modules must cover every alive vertex")

@@ -7,10 +7,11 @@ ids, the AHU canonical form (Aho, Hopcroft & Ullman 1974) with integers.
 A part a move leaves is keyed by its shape rooted where it hangs off the
 move, a root component by its shape rooted at a centroid, so components
 of one rooted shape arising anywhere in the search share one evaluation.
-Only the root position is split into components; the components a move
-leaves, and their ids, are read off one rooted BFS of the component it
-is played in. `tree_component_code` decodes the same ids into the
-centroid-rooted AHU string.
+Only the root position is split into components. Expanding a component
+is one rooted BFS and a rerooting over it: each subtree and each part
+above a vertex is a part some move leaves, evaluated once, and a move's
+value is four XORs of per-vertex values. `tree_component_code` decodes
+the same ids into the centroid-rooted AHU string.
 
 Also counts, for a rooted tree, how many non-isomorphic rooted subtrees
 survive at the root under play-like removals: matchings whose matched
@@ -22,7 +23,7 @@ what bounds the rooted-shape memo.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..graph import Color, ColoredGraph, Player
 from .common import Outcome, SearchStats, mex, recursion_capacity, split_components
@@ -42,132 +43,130 @@ def check_gray_forest(g: ColoredGraph) -> list[int]:
 
 def _bfs(
     nbr: Sequence[int], comp: int, root: int
-) -> tuple[list[int], dict[int, int]]:
+) -> tuple[list[int], dict[int, int], dict[int, list[int]]]:
     """Breadth-first order of the vertices of comp reachable from root,
-    and each one's parent (-1 at root). The neighbor masks give the
-    adjacency; unreached vertices form a mask, so a cycle cannot loop."""
+    each one's parent (-1 at root) and its children. The neighbor masks
+    give the adjacency; unreached vertices form a mask, so a cycle cannot
+    loop."""
     order = [root]
     parent = {root: -1}
+    kids = {}
     unreached = comp & ~(1 << root)
     for v in order:
         found = nbr[v] & unreached
         unreached ^= found
+        kids[v] = below = []
         while found:
             b = found & -found
             found ^= b
             w = b.bit_length() - 1
             parent[w] = v
-            order.append(w)
-    return order, parent
+            below.append(w)
+        order += below
+    return order, parent, kids
 
 
 def tree_component_code(g: ColoredGraph, comp: int) -> str:
     """Canonical form of one tree component: the AHU code rooted at the
     centroid; with two centroids, the smaller of the two rooted codes.
-    It decodes the component's centroid-rooted shape ids (`_move_parts`):
+    It decodes the component's centroid-rooted shape ids (`_centroids`):
     an id's children have smaller ids, so codes are built in id order."""
     ids: dict[tuple[int, ...], int] = {}
-    centroids = _move_parts(comp, g.neighbor_masks(), ids)[2]()
+    centroids = _centroids(_shapes(comp, g.neighbor_masks(), ids), ids)
     codes: list[str] = []
     for children in ids:
         codes.append("(" + "".join(sorted([codes[i] for i in children])) + ")")
     return min(codes[i] for i in centroids)
 
 
-def _move_parts(
-    comp: int, nbr: Sequence[int], ids: dict[tuple[int, ...], int]
-) -> tuple[Callable[[], Iterator[tuple[int, int, list[int]]]], Callable, Callable[[], list[int]]]:
-    """Three readings of one BFS of the tree component comp from its
-    lowest vertex, which gives the subtree masks and their rooted shape
-    ids bottom up; equal ids mean equal rooted shapes wherever the ids
-    table is shared.
-
-    moves() yields each edge (u, v), u < v, with the components of two or
-    more vertices that playing it leaves. Playing the tree edge from p
-    down to v leaves the subtrees of v's children, those of p's other
-    children and the rest of comp above p (empty when p is the root).
-    Edges come sorted and each edge's parts by lowest vertex, as if
-    `split_components` split each child. The parts of an edge are built
-    when it is reached: the generator is suspended, not on the stack,
-    while the search recurses into them.
-
-    shape(part, u, v) is the id of a part that playing (u, v) leaves,
-    rooted where the part hangs off the edge; centroids() is the ids of
-    comp rooted at each of its one or two centroids."""
-    order, parent = _bfs(nbr, comp, (comp & -comp).bit_length() - 1)
-    sub = {v: 1 << v for v in order}
-    kids: dict[int, list[int]] = {v: [] for v in order}  # v -> its children's masks
-    kid_ids: dict[int, list[int]] = {v: [] for v in order}  # v -> its children's ids
-    down: dict[int, int] = {}  # v -> id of sub[v], rooted at v
-    up: dict[int, int] = {}  # p -> id of comp ^ sub[p], rooted at parent[p]
+def _shapes(comp: int, nbr: Sequence[int], ids: dict[tuple[int, ...], int]) -> tuple:
+    """One BFS of the tree component comp from its lowest vertex, read
+    bottom up, then top down, as tables keyed by vertex: order, parent
+    and kids (`_bfs`); sub, the subtree mask; down, the id of sub[v]
+    rooted at v; kid_ids, the children's down ids, sorted; and above, for
+    a non-root vertex p with children, the id of the part above p,
+    comp & ~sub[p], rooted at parent[p], whose children are parent[p]'s
+    other subtrees and the part above parent[p]. Equal ids mean equal
+    rooted shapes wherever the ids table is shared."""
+    order, parent, kids = _bfs(nbr, comp, (comp & -comp).bit_length() - 1)
+    sub: dict[int, int] = {}
+    down: dict[int, int] = {}
+    kid_ids: dict[int, list[int]] = {}
+    leaf = ids.setdefault((), len(ids))
     for v in reversed(order):
-        p = parent[v]
-        if p >= 0:
-            sub[p] |= sub[v]
-            kids[p].append(sub[v])
-            key = kid_ids[v]
-            key.sort()
-            down[v] = ids.setdefault(tuple(key), len(ids))
-            kid_ids[p].append(down[v])
+        part = 1 << v
+        key = kid_ids[v] = []
+        for c in kids[v]:
+            part |= sub[c]
+            key.append(down[c])
+        key.sort()
+        sub[v] = part
+        down[v] = ids.setdefault(tuple(key), len(ids)) if key else leaf
+    root = order[0]
+    above: dict[int, int] = {}
+    for p in order[1:]:
+        if kids[p]:
+            q = parent[p]
+            around = kid_ids[q].copy()
+            around.remove(down[p])
+            if q != root:
+                around.append(above[q])
+                around.sort()
+            above[p] = ids.setdefault(tuple(around), len(ids))
+    return order, parent, kids, sub, down, kid_ids, above
 
-    def above(p: int) -> int:
-        """up[p]: the part above p hangs at q = parent[p] and is q's other
-        subtrees plus q's own part above, so walk up to a vertex whose
-        part above is known or hangs off the root, then intern back down."""
-        chain = [p]
-        while chain[-1] not in up and parent[parent[chain[-1]]] >= 0:
-            chain.append(parent[chain[-1]])
-        for p in reversed(chain):
-            if p not in up:
-                q = parent[p]
-                around = kid_ids[q].copy()
-                around.remove(down[p])
-                if parent[q] >= 0:
-                    around.append(up[q])
-                up[p] = ids.setdefault(tuple(sorted(around)), len(ids))
-        return up[chain[0]]
 
-    def shape(part: int, u: int, w: int) -> int:
-        if not part & comp & -comp:  # a subtree, rooted next to u or w
-            return down[(part & (nbr[u] | nbr[w])).bit_length() - 1]
-        return above(u if parent[w] == u else w)
+def _centroids(shapes: tuple, ids: dict[tuple[int, ...], int]) -> list[int]:
+    """The ids of a component (its `_shapes`) rooted at each of its one or
+    two centroids. The vertices whose subtree holds over half of it form
+    a chain down from the root, whose last vertex c is a centroid, and a
+    child of c whose subtree holds half is the other: rooted at v, the
+    children are v's subtrees and the part above v. That child is a leaf
+    only in a one-edge component, the same shape from either end."""
+    order, parent, kids, sub, _, kid_ids, above = shapes
+    size = len(order)
+    c = [v for v in order if 2 * sub[v].bit_count() > size][-1]
+    rooted = [kid_ids[c] + [above[c]] if parent[c] >= 0 else kid_ids[c]]
+    rooted += [kid_ids[w] + [above[w]] for w in kids[c] if 2 * sub[w].bit_count() == size and kids[w]]
+    return [ids.setdefault(tuple(sorted(around)), len(ids)) for around in rooted]
 
-    def centroids() -> list[int]:
-        """The vertices whose subtree holds at least half of comp form a
-        chain down from the root (two at one depth would hold every vertex
-        but the root between them), and its last vertex c is a centroid;
-        parent[c] is a second one exactly when c's subtree holds half.
-        Rooted at v, comp's children are v's subtrees and the part above."""
-        size = len(order)
-        c = [v for v in order if 2 * sub[v].bit_count() >= size][-1]
-        rooted = []
-        for v in (c, parent[c]) if 2 * sub[c].bit_count() == size else (c,):
-            around = kid_ids[v] + [above(v)] if parent[v] >= 0 else kid_ids[v]
-            rooted.append(ids.setdefault(tuple(sorted(around)), len(ids)))
-        return rooted
 
-    def moves() -> Iterator[tuple[int, int, list[int]]]:
-        rest = comp
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            u = bit.bit_length() - 1
-            later = nbr[u] & rest
-            while later:
-                b = later & -later
-                later ^= b
-                w = b.bit_length() - 1
-                p, v = (u, w) if parent[w] == u else (w, u)
-                below = sub[v]
-                parts = [s for s in kids[v] + kids[p] if s != below and s & (s - 1)]
-                if len(parts) > 1:
-                    parts.sort(key=lambda s: s & -s)
-                rest_above = comp & ~sub[p]
-                if rest_above & (rest_above - 1):
-                    parts.insert(0, rest_above)  # it holds the root, comp's lowest vertex
-                yield u, w, parts
+def _move_values(
+    comp: int, shapes: tuple, by_mask: dict[int, int], evaluate: Callable[[int, int], int]
+) -> tuple[list[int], int]:
+    """The value each move of comp leaves, on the edge (parent[v], v) for
+    each v of the `_shapes` order after the root, and the number of parts
+    of two or more vertices over all the moves.
 
-    return moves, shape, centroids
+    Playing (p, v) leaves v's subtrees, p's other subtrees and the part
+    above p: the value is xor[v] ^ xor[p] ^ val[v] ^ up[p], where val[v]
+    is the value of sub[v], xor[x] the XOR of x's children's val, and
+    up[p] the value of the part above p. A part of one vertex has value
+    0, and any other is probed in by_mask, then valued by evaluate(part,
+    id), the largest subtrees first. The subtree of the root's only child
+    is part of no move, and its val cancels, so it is never valued."""
+    order, parent, kids, sub, down, _, above = shapes
+    root = order[0]
+    alone = kids[root][0] if len(kids[root]) == 1 else -1
+    val = dict.fromkeys(order, 0)
+    xor = val.copy()
+    up = val.copy()
+    parts = 0
+    for v in order[1:]:
+        part = sub[v]
+        if part & (part - 1) and v != alone:
+            value = by_mask.get(part)
+            val[v] = value = evaluate(part, down[v]) if value is None else value
+            p = parent[v]
+            xor[p] ^= value
+            parts += len(kids[p]) - (p == root)  # its siblings' moves, and its parent's
+    for p in order[1:]:
+        part = comp & ~sub[p]
+        if kids[p] and part & (part - 1):
+            value = by_mask.get(part)
+            up[p] = evaluate(part, above[p]) if value is None else value
+            parts += len(kids[p])  # the moves from p down
+    return [xor[v] ^ xor[parent[v]] ^ val[v] ^ up[parent[v]] for v in order[1:]], parts
 
 
 def _forest_search(
@@ -175,12 +174,10 @@ def _forest_search(
 ) -> tuple[int, Optional[tuple[int, int]], SearchStats]:
     """Value of the forest position g and, with solve and a nonzero value,
     the smallest edge to a child of value zero. A component is probed by
-    vertex set, then by its shape id, and its moves are expanded when both
+    vertex set, then by its shape id, and its moves are valued when both
     miss; in solve mode the root's children are its components' moves.
     The callers probe by vertex set, so a memo hit costs no call, and a
-    move nests exactly two calls (evaluate, then move_values): a
-    comprehension there would add a frame on the Pythons that do not
-    inline it."""
+    move nests exactly two calls (evaluate, then `_move_values`)."""
     t0 = perf_counter()
     nbr = g.neighbor_masks()
     comps = check_gray_forest(g)
@@ -188,53 +185,45 @@ def _forest_search(
     by_mask: dict[int, int] = {}  # component mask -> value
     by_key: dict[int, int] = {}  # rooted shape id -> value
     ids: dict[tuple[int, ...], int] = {}  # children's shape ids -> shape id
-    nodes = 0
+    nodes = len(comps)  # a visit per root component, then per part left
 
-    def evaluate(comp: int, key: int, tables: Optional[tuple] = None) -> int:
-        """Value of a component that missed by vertex set; tables are its
-        `_move_parts`, built by move_values if not given."""
+    def evaluate(comp: int, key: int, shapes: Optional[tuple] = None) -> int:
+        """Value of a component that missed by vertex set; shapes are its
+        `_shapes`, built here if not given."""
+        nonlocal nodes
         value = by_key.get(key)
         if value is None:
-            values = set()
-            for _, _, total in move_values(comp, tables):
-                values.add(total)
+            shapes = shapes or _shapes(comp, nbr, ids)
+            values, parts = _move_values(comp, shapes, by_mask, evaluate)
+            nodes += parts
             value = by_key[key] = mex(values)
         by_mask[comp] = value
         return value
 
-    def move_values(comp: int, tables: Optional[tuple]) -> Iterator[tuple[int, int, int]]:
-        """Each move (u, w) of comp with the XOR of the values of the
-        parts it leaves."""
-        nonlocal nodes
-        moves, shape, _ = tables or _move_parts(comp, nbr, ids)
-        for u, w, parts in moves():
-            nodes += len(parts)
-            total = 0
-            for part in parts:
-                value = by_mask.get(part)
-                total ^= evaluate(part, shape(part, u, w)) if value is None else value
-            yield u, w, total
-
-    def root(comp: int) -> int:
-        """Value of a root component, keyed by the smaller of its
-        centroid-rooted ids; its tables are kept for solve mode."""
-        nonlocal nodes
-        nodes += 1
-        tables = roots[comp] = _move_parts(comp, nbr, ids)
-        return evaluate(comp, min(tables[2]()), tables)
-
-    roots: dict[int, tuple] = {}  # root component -> its _move_parts
+    roots: dict[int, tuple] = {}  # root component -> its _shapes
     value = 0
     move = None
     with recursion_capacity():
-        for comp in comps:
-            value ^= root(comp)
+        for comp in comps:  # keyed by the smaller of its centroid-rooted ids
+            shapes = roots[comp] = _shapes(comp, nbr, ids)
+            value ^= evaluate(comp, min(_centroids(shapes, ids)), shapes)
         if solve and value:
             # A move in comp leaves a zero child iff its parts XOR to rest,
-            # the value of the other root components.
-            for comp, tables in roots.items():
+            # the value of the other root components. Edges come in (u, v)
+            # order and stop at the first such move; a root component that
+            # hit by shape id has its parts valued only up to there.
+            for comp, (_, parent, kids, sub, down, _, above) in roots.items():
                 rest = value ^ by_mask[comp]
-                for u, w, total in move_values(comp, tables):
+                for u, w, _ in (e for e in g.edges if comp >> e[0] & 1):
+                    p, v = (u, w) if parent[w] == u else (w, u)
+                    parts = [(comp & ~sub[p], above.get(p))]  # empty when p is the root
+                    parts += [(sub[c], down[c]) for c in kids[v] + kids[p] if c != v]
+                    total = 0
+                    for part, key in parts:
+                        if part & (part - 1):
+                            nodes += 1
+                            known = by_mask.get(part)
+                            total ^= evaluate(part, key) if known is None else known
                     if total == rest:
                         move = min(move or (u, w), (u, w))
                         break
@@ -269,12 +258,9 @@ def _rooted_tree(g: ColoredGraph, root: int) -> tuple[list[int], dict[int, list[
         raise ValueError(f"root {root} is not an alive vertex")
     if g.m != mask.bit_count() - 1:
         raise ValueError("not a tree: edge count differs from n - 1")
-    order, parent = _bfs(g.neighbor_masks(), mask, root)
+    order, _, children = _bfs(g.neighbor_masks(), mask, root)
     if len(order) != mask.bit_count():
         raise ValueError("not a tree: alive subgraph is disconnected")
-    children: dict[int, list[int]] = {v: [] for v in order}
-    for v in order[1:]:
-        children[parent[v]].append(v)
     return order, children
 
 
@@ -286,7 +272,7 @@ def _count_kept_shapes(
     vanishes[child] holds. The children join one at a time, each kept
     choice a sorted multiset of child shape ids, so equal partial choices
     merge before the next child; a kept choice is interned as the id of
-    its shape, as in `_move_parts`."""
+    its shape, as in `_shapes`."""
     ids: dict[tuple[int, ...], int] = {}
     shapes: dict[int, set[int]] = {}
     for v in reversed(order):

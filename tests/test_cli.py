@@ -16,8 +16,11 @@ from cak import (
     parse_graph,
     serialize_graph,
 )
+import cak.engines as engines
+import cak.engines.nd as nd_engine
 from cak.bench import BenchConsistencyError
 from cak.cli import build_parser, main
+from cak.graph import ColoredGraph
 
 from _oracles import build
 
@@ -189,6 +192,29 @@ def test_auto_routes_twins_to_nd_past_subset_capacity(tmp_path, capsys):
     code, _, stderr = invoke(capsys, "solve", "-f", f, "-e", "auto", "--max-n", "40")
     assert code == 2
     assert stderr == "error: option max_n does not apply to engine 'nd'\n"
+
+
+def test_auto_hands_its_partition_to_nd(tmp_path, capsys, monkeypatch):
+    """gen_random(14, 0.4) is twin-free with tau past auto's cut; vertex 14
+    copies vertex 0's edges, so auto picks nd, and nd's builder takes the
+    partition the pick computed instead of computing it again."""
+    g = gen_random(14, 0.4)
+    twin = tuple((v, 14, c) for u, v, c in g.edges if u == 0)
+    f = write_cak(tmp_path, ColoredGraph(15, g.edges + twin))
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return nd_partition(g)
+
+    monkeypatch.setattr(engines, "nd_partition", counting)
+    monkeypatch.setattr(nd_engine, "nd_partition", counting)
+    for flags in ((), ("--count-mode",)):
+        calls.clear()
+        code, auto, _ = invoke(capsys, "solve", "-f", f, *flags)
+        assert code == 0 and json.loads(auto)["engine"] == "nd"
+        assert len(calls) == 1
+        assert invoke(capsys, "solve", "-f", f, "-e", "nd", *flags) == (0, auto, "")
 
 
 def test_solve_with_cover_and_partition(tmp_path, capsys):

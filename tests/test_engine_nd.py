@@ -110,6 +110,23 @@ def test_partition_errors_carry_their_vertex_ids():
     assert info.value.one_based() == "invalid partition: vertex 3 not alive in the graph"
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(twin_blowups())
+def test_partition_check_accepts_exactly_the_twin_pairs(case):
+    # the check compares colour masks instead of computing nd_partition;
+    # a pair is accepted exactly where nd_partition puts it in one module
+    g, _ = case
+    module_of = {v: i for i, m in enumerate(nd_partition(g).modules) for v in m}
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            partition = [[u, v]] + [[w] for w in range(g.n) if w not in (u, v)]
+            if module_of[u] == module_of[v]:
+                nd_engine._resolve_partition(g, partition)
+            else:
+                with pytest.raises(VertexError, match="not colored twins"):
+                    nd_engine._resolve_partition(g, partition)
+
+
 def test_partition_rejects_ids_that_are_not_ints():
     p3 = build(3, [(0, 1, "g"), (1, 2, "g")])
     for bad in (1.0, "1", None):

@@ -20,7 +20,7 @@ from cak import (
 )
 import cak.engines.tree as tree_engine
 from cak.engines.common import split_components
-from cak.engines.tree import _move_parts, check_gray_forest, tree_component_code
+from cak.engines.tree import _move_values, _shapes, check_gray_forest, tree_component_code
 from cak.graph import bits, induced_mask
 
 from _oracles import (
@@ -217,19 +217,20 @@ def test_canonical_code_of_one_component_ignores_the_rest():
         assert tree_component_code(g, comp) == tree_code_oracle(len(index), local)
 
 
-def move_parts_cases():
-    """Gray forests whose components stress the parts rule: relabeled
-    random trees and forests, stars and spiders with the center at the
-    lowest id (the BFS root) or elsewhere, and caterpillars."""
+def shape_cases(big=30):
+    """Gray forests whose components stress the rerooting: relabeled
+    random trees and forests under big vertices, stars and spiders with
+    the center at the lowest id (the BFS root) or elsewhere, paths and
+    caterpillars."""
     rng = random.Random(113)
     for _ in range(40):
-        n = rng.randrange(2, 30)
+        n = rng.randrange(2, big)
         yield gray_tree(relabeled(rng, n, random_tree_pairs(rng, n)), n)
         yield random_forest(rng, n)
-    for leaves in (1, 2, 5, 12):
+    for leaves in (1, 2, 5, 9):
         yield gray_tree([(0, leaf) for leaf in range(1, leaves + 1)])
         yield gray_tree([(leaves, leaf) for leaf in range(leaves)])
-    for legs, length in ((3, 2), (6, 3), (4, 5)):
+    for legs, length in ((3, 2), (4, 3), (3, 4)):
         pairs = []
         for leg in range(legs):
             path = [0] + [1 + leg * length + i for i in range(length)]
@@ -237,58 +238,92 @@ def move_parts_cases():
         n = 1 + legs * length
         yield gray_tree(pairs, n)
         yield gray_tree(relabeled(rng, n, pairs), n)
-    for pins in (1, 2, 7, 15):
+    for n in (2, 3, 6, 11):
+        yield gray_path(n)
+    for pins in (1, 2, 6):
         yield gen_caterpillar_kayles(pins)
 
 
-def moved_parts(g, ids):
-    """(comp, u, v, part, shape id) for every part of every move of
-    every component of g, the ids interned in the shared table ids."""
+def component_shapes(g, ids):
+    """(comp, its _shapes) for every component of g, the ids interned in
+    the shared table ids."""
     nbr = g.neighbor_masks()
     for comp in split_components(g.alive, nbr):
-        moves, shape, _ = _move_parts(comp, nbr, ids)
-        for u, v, parts in moves():
-            for part in parts:
-                yield comp, u, v, part, shape(part, u, v)
+        yield comp, _shapes(comp, nbr, ids)
 
 
-def test_move_parts_match_split_components():
-    for g in move_parts_cases():
+def shaped_parts(g, ids):
+    """(part, hang, shape id) for every subtree below the BFS root and
+    every part above a vertex with children: the part, the vertex it is
+    rooted at and its id."""
+    for comp, (order, parent, _, sub, down, _, above) in component_shapes(g, ids):
+        for v in order[1:]:
+            yield sub[v], v, down[v]
+        for p, sid in above.items():
+            yield comp & ~sub[p], parent[p], sid
+
+
+def test_move_values_match_naive_grundy():
+    # every edge's value is the XOR of grundy_naive over the components
+    # of the child; only parts of two or more vertices that some move
+    # leaves are valued, each once per component under its own id, and
+    # counted per move
+    for g in shape_cases(big=13):
         nbr = g.neighbor_masks()
-        for comp in split_components(g.alive, nbr):
-            moves = list(_move_parts(comp, nbr, {})[0]())
-            inside = [(u, v) for u, v, _ in g.edges if comp >> u & 1 and comp >> v & 1]
-            assert [(u, v) for u, v, _ in moves] == inside
-            for u, v, parts in moves:
-                child = comp & ~(1 << u | 1 << v)
-                assert parts == split_components(child, nbr), (g.edges, u, v)
+        for comp, shapes in component_shapes(g, {}):
+            order, parent, _, sub, down, _, above = shapes
+            key_of = {sub[v]: down[v] for v in order[1:]}
+            key_of.update((comp & ~sub[p], sid) for p, sid in above.items())
+            children = {
+                (u, v): split_components(comp & ~(1 << u | 1 << v), nbr)
+                for u, v, _ in g.edges
+                if comp >> u & 1
+            }
+            left = {part for parts in children.values() for part in parts}
+            valued = []
+
+            def naive(part, key):
+                assert part in left and part not in valued, (g.edges, part)
+                assert key == key_of[part]
+                valued.append(part)
+                return grundy_naive(induced_mask(g, part))
+
+            values, parts = _move_values(comp, shapes, {}, naive)
+            edges = [tuple(sorted((parent[v], v))) for v in order[1:]]
+            assert sorted(edges) == sorted(children)
+            assert sorted(valued) == sorted(left)
+            assert parts == sum(map(len, children.values()))
+            for edge, value in zip(edges, values):
+                want = 0
+                for part in children[edge]:
+                    want ^= grundy_naive(induced_mask(g, part))
+                assert value == want, (g.edges, edge)
 
 
-def test_move_part_shape_ids_match_rooted_shapes():
-    # a part hangs off the played edge by one tree edge; rooted at its
-    # end in the part, equal ids must mean equal shapes, across graphs
+def test_down_and_above_ids_match_rooted_shapes():
+    # a subtree is rooted at its top and the part above p at p's parent,
+    # where each hangs off the moves that leave it; equal ids must mean
+    # equal rooted shapes, across graphs
     ids, shape_of, id_of = {}, {}, {}
-    for g in move_parts_cases():
-        nbr = g.neighbor_masks()
+    for g in shape_cases():
         pairs = [(u, v) for u, v, _ in g.edges]
-        for _, u, v, part, sid in moved_parts(g, ids):
-            hang = part & (nbr[u] | nbr[v])
-            assert hang and not hang & (hang - 1)
-            want = rooted_shape_oracle(g.n, pairs, hang.bit_length() - 1, set(bits(part)))
+        for part, hang, sid in shaped_parts(g, ids):
+            want = rooted_shape_oracle(g.n, pairs, hang, set(bits(part)))
             assert shape_of.setdefault(sid, want) == want
             assert id_of.setdefault(want, sid) == sid
 
 
 def test_each_shape_id_has_one_canonical_code():
     rng = random.Random(131)
-    cases = [*move_parts_cases(), *(random_forest(rng, rng.randrange(2, 40)) for _ in range(40))]
+    cases = [*shape_cases(), *(random_forest(rng, rng.randrange(2, 40)) for _ in range(40))]
     ids, code_of = {}, {}
     parts = 0
     for g in cases:
-        for _, _, _, part, sid in moved_parts(g, ids):
-            parts += 1
-            code = tree_component_code(g, part)
-            assert code_of.setdefault(sid, code) == code
+        for part, _, sid in shaped_parts(g, ids):
+            if part & (part - 1):
+                parts += 1
+                code = tree_component_code(g, part)
+                assert code_of.setdefault(sid, code) == code
     assert len(code_of) < parts
 
 
@@ -328,16 +363,14 @@ def test_each_search_splits_the_position_once(monkeypatch):
             assert calls == [g.alive]
 
 
-def test_part_shapes_of_a_long_path_need_no_recursion():
+def test_shapes_of_a_long_path_need_no_recursion():
     g = gray_path(3000)
-    moves, shape, _ = _move_parts(g.alive, g.neighbor_masks(), {})
-    for u, v, parts in moves():
-        if (u, v) == (1499, 1500):
-            # 0..1498 rooted at 1498 (the part above) and 1501..2999
-            # rooted at 1501 (a subtree): paths of 1,499 rooted at an end
-            above, below = parts
-            assert shape(above, u, v) == shape(below, u, v)
-            break
+    _, _, _, sub, down, _, above = _shapes(g.alive, g.neighbor_masks(), {})
+    # playing (1499, 1500) leaves 0..1498 rooted at 1498 (the part above
+    # 1499) and 1501..2999 rooted at 1501 (a subtree): paths of 1,499
+    # rooted at an end
+    assert sub[1501].bit_count() == (g.alive & ~sub[1499]).bit_count() == 1499
+    assert above[1499] == down[1501]
 
 
 def test_canonical_code_of_a_long_path_needs_no_recursion():
@@ -350,15 +383,17 @@ def test_canonical_code_of_a_long_path_needs_no_recursion():
 
 # A root component is keyed by its shape rooted at a centroid and a part
 # by its shape rooted where it hangs, so another rooting of one tree is a
-# new key: the random pins count those.
+# new key: the random pins count those. Which rooting of a vertex set is
+# keyed first follows the order in which parts are first valued: largest
+# subtrees first, then the parts above vertices.
 @pytest.mark.parametrize(
     "g, turn, stats, move",
     [
         (gen_caterpillar_kayles(10), Player.B, (169, 159, 10), (1, 11)),
         (gen_caterpillar_kayles(20), Player.B, (759, 739, 20), (9, 10)),
         (gray_path(30), Player.W, (733, 705, 28), (14, 15)),
-        (gray_tree(random_tree_pairs(random.Random(1), 28)), Player.B, (5794, 5542, 252), (6, 13)),
-        (gray_tree(random_tree_pairs(random.Random(1), 28)), Player.W, (5794, 5542, 252), (6, 13)),
+        (gray_tree(random_tree_pairs(random.Random(1), 28)), Player.B, (5799, 5545, 254), (6, 13)),
+        (gray_tree(random_tree_pairs(random.Random(1), 28)), Player.W, (5799, 5545, 254), (6, 13)),
         # five components; the winning move lies outside the first one.
         # The root's children are read off its components' moves, which
         # counts only the parts of each probed move (the other components
@@ -420,7 +455,8 @@ def test_lowered_limit_keeps_the_longest_solvable_path(shallow_stack):
     # The limit is set so that a plain recursion from here nests exactly
     # 60 frames, whatever the interpreter counts below this test. A path's
     # search nests two frames per move plus a few at the deepest visit,
-    # and no shape or code adds frames per vertex.
+    # and no shape or code adds frames per vertex; the solve lambda adds
+    # one.
     def nest(depth):
         try:
             return nest(depth + 1)
@@ -431,7 +467,7 @@ def test_lowered_limit_keeps_the_longest_solvable_path(shallow_stack):
     missing = 60 - nest(1)
     shallow_stack(60 + missing)
     assert nest(1) == 60
-    for solve, longest in ((grundy_tree, 55), (lambda g: solve_tree(g, Player.B), 53)):
+    for solve, longest in ((grundy_tree, 57), (lambda g: solve_tree(g, Player.B), 55)):
         solve(gray_path(longest))
         with pytest.raises(CapacityError, match="recursion limit"):
             solve(gray_path(longest + 1))
