@@ -169,6 +169,12 @@ def _move_values(
     return [xor[v] ^ xor[parent[v]] ^ val[v] ^ up[parent[v]] for v in order[1:]], parts
 
 
+def _parts_left(comp: int, shapes: tuple, p: int, v: int) -> list[tuple[int, Optional[int]]]:
+    """(mask, id) of each part playing (p, v) leaves, v a child of p; the part above p is 0 at the root."""
+    _, _, kids, sub, down, _, above = shapes
+    return [(comp & ~sub[p], above.get(p))] + [(sub[c], down[c]) for c in kids[v] + kids[p] if c != v]
+
+
 def _forest_search(
     g: ColoredGraph, solve: bool
 ) -> tuple[int, Optional[tuple[int, int]], SearchStats]:
@@ -212,14 +218,12 @@ def _forest_search(
             # the value of the other root components. Edges come in (u, v)
             # order and stop at the first such move; a root component that
             # hit by shape id has its parts valued only up to there.
-            for comp, (_, parent, kids, sub, down, _, above) in roots.items():
+            for comp, shapes in roots.items():
                 rest = value ^ by_mask[comp]
                 for u, w, _ in (e for e in g.edges if comp >> e[0] & 1):
-                    p, v = (u, w) if parent[w] == u else (w, u)
-                    parts = [(comp & ~sub[p], above.get(p))]  # empty when p is the root
-                    parts += [(sub[c], down[c]) for c in kids[v] + kids[p] if c != v]
+                    p, v = (u, w) if shapes[1][w] == u else (w, u)
                     total = 0
-                    for part, key in parts:
+                    for part, key in _parts_left(comp, shapes, p, v):
                         if part & (part - 1):
                             nodes += 1
                             known = by_mask.get(part)

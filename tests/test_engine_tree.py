@@ -20,7 +20,7 @@ from cak import (
 )
 import cak.engines.tree as tree_engine
 from cak.engines.common import split_components
-from cak.engines.tree import _move_values, _shapes, check_gray_forest, tree_component_code
+from cak.engines.tree import _move_values, _parts_left, _shapes, check_gray_forest, tree_component_code
 from cak.graph import bits, induced_mask
 
 from _oracles import (
@@ -217,20 +217,19 @@ def test_canonical_code_of_one_component_ignores_the_rest():
         assert tree_component_code(g, comp) == tree_code_oracle(len(index), local)
 
 
-def shape_cases(big=30):
+def shape_cases():
     """Gray forests whose components stress the rerooting: relabeled
-    random trees and forests under big vertices, stars and spiders with
-    the center at the lowest id (the BFS root) or elsewhere, paths and
-    caterpillars."""
+    random trees and forests, stars and spiders with the center at the
+    lowest id (the BFS root) or elsewhere, paths and caterpillars."""
     rng = random.Random(113)
     for _ in range(40):
-        n = rng.randrange(2, big)
+        n = rng.randrange(2, 30)
         yield gray_tree(relabeled(rng, n, random_tree_pairs(rng, n)), n)
         yield random_forest(rng, n)
-    for leaves in (1, 2, 5, 9):
+    for leaves in (1, 2, 5, 12):
         yield gray_tree([(0, leaf) for leaf in range(1, leaves + 1)])
         yield gray_tree([(leaves, leaf) for leaf in range(leaves)])
-    for legs, length in ((3, 2), (4, 3), (3, 4)):
+    for legs, length in ((3, 2), (4, 3), (3, 4), (6, 3), (4, 5)):
         pairs = []
         for leg in range(legs):
             path = [0] + [1 + leg * length + i for i in range(length)]
@@ -240,7 +239,7 @@ def shape_cases(big=30):
         yield gray_tree(relabeled(rng, n, pairs), n)
     for n in (2, 3, 6, 11):
         yield gray_path(n)
-    for pins in (1, 2, 6):
+    for pins in (1, 2, 6, 7, 15):
         yield gen_caterpillar_kayles(pins)
 
 
@@ -267,8 +266,14 @@ def test_move_values_match_naive_grundy():
     # every edge's value is the XOR of grundy_naive over the components
     # of the child; only parts of two or more vertices that some move
     # leaves are valued, each once per component under its own id, and
-    # counted per move
-    for g in shape_cases(big=13):
+    # counted per move. grundy_naive caps the graphs at 13 vertices, so
+    # forty more random ones of that size join the shape cases.
+    rng = random.Random(127)
+    small = []
+    for _ in range(40):
+        n = rng.randrange(2, 14)
+        small += [gray_tree(relabeled(rng, n, random_tree_pairs(rng, n)), n), random_forest(rng, n)]
+    for g in (g for g in [*shape_cases(), *small] if g.n <= 13):
         nbr = g.neighbor_masks()
         for comp, shapes in component_shapes(g, {}):
             order, parent, _, sub, down, _, above = shapes
@@ -311,6 +316,31 @@ def test_down_and_above_ids_match_rooted_shapes():
             want = rooted_shape_oracle(g.n, pairs, hang, set(bits(part)))
             assert shape_of.setdefault(sid, want) == want
             assert id_of.setdefault(want, sid) == sid
+
+
+def test_solve_pass_parts_match_split_components():
+    # the solve-mode root pass lists each move's parts itself: they must
+    # be the components of the child, each id its rooted shape where it
+    # hangs off the played edge, equal ids iff equal shapes across graphs
+    ids, shape_of, id_of = {}, {}, {}
+    for g in shape_cases():
+        nbr = g.neighbor_masks()
+        pairs = [(u, v) for u, v, _ in g.edges]
+        for comp, shapes in component_shapes(g, ids):
+            order, parent = shapes[:2]
+            for v in order[1:]:
+                p = parent[v]
+                parts = [(part, sid) for part, sid in _parts_left(comp, shapes, p, v) if part]
+                child = comp & ~(1 << p | 1 << v)
+                assert sum(part for part, _ in parts) == child, (g.edges, p, v)
+                big = sorted(part for part, _ in parts if part & (part - 1))
+                assert big == sorted(split_components(child, nbr)), (g.edges, p, v)
+                for part, sid in parts:
+                    hang = part & (nbr[p] | nbr[v])
+                    assert hang and not hang & (hang - 1)
+                    want = rooted_shape_oracle(g.n, pairs, hang.bit_length() - 1, set(bits(part)))
+                    assert shape_of.setdefault(sid, want) == want
+                    assert id_of.setdefault(want, sid) == sid
 
 
 def test_each_shape_id_has_one_canonical_code():
