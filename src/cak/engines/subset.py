@@ -12,8 +12,9 @@ every edge at either end in both fields. The key adds the side to move
 above both fields, except when both sides play the same edges (all
 gray): the game is then impartial, and one field serves both sides.
 Both modes refuse as nd does on one-vertex modules: 2^alive over 2^max_n.
-Once its first edge has lost, the solve-mode root tries one edge per orbit
-of g's colour-preserving automorphisms; count mode tries every edge.
+The solve-mode root looks at g's symmetries (symmetry.py): an all-gray
+root is lost to a mirror strategy, and a root tries one edge per orbit
+once its first edge has lost. Count mode tries every edge.
 """
 
 from __future__ import annotations
@@ -83,26 +84,31 @@ def _search(g: ColoredGraph, turn: Player, max_n: int, solve: bool) -> Outcome:
         return found
 
     # The root tries its edges in (u, v) order and keeps the first that
-    # wins, the smallest. Once the first has lost, solve mode skips each
-    # edge whose orbit under g's symmetries starts with another: that
-    # edge lost.
+    # wins, the smallest. In solve mode it finds g's symmetries at once
+    # when all is gray, else once its first edge has lost, and skips each
+    # edge whose orbit starts with another: that edge lost.
     side = PLAYERS.index(turn)
     root = fields[0][1] | fields[1][1] << fields[1][0]
     edges = order[side]
     move = leads = None
+    lost = not flags[1]  # all gray: look for a mirror before the first edge
     with recursion_capacity():
         for i in sorted(range(len(edges)), key=lambda i: bits(edges[i])):
+            if solve and lost and leads is None:  # the symmetry work, compile included, counts as set-up
+                symmetry_started = perf_counter()
+                from .symmetry import automorphisms, mirror  # not compiled by `import cak`
+                maps, leads = automorphisms(g)
+                mirrored = not flags[1] and mirror(g, maps) is not None
+                setup_s += perf_counter() - symmetry_started
+                if mirrored:
+                    break
             if leads and leads[edges[i]] != edges[i]:
                 continue
             if wins(root, side, 1 << i):
                 move = move or edges[i]
                 if solve:
                     break
-            elif solve and leads is None:  # the orbit work, compile included, counts as set-up
-                orbits_started = perf_counter()
-                from .symmetry import automorphisms  # not compiled by `import cak`
-                leads = automorphisms(g)[1]
-                setup_s += perf_counter() - orbits_started
+            lost = True
     memo[root | flags[side]] = move is not None
     stats = SearchStats(hits + len(memo), hits, len(memo), perf_counter() - started, setup_s)
     return Outcome(turn if move else turn.opponent, move and tuple(bits(move)), stats)

@@ -1,11 +1,16 @@
 """Colour-preserving automorphisms of a colored graph. subset's solve
-mode uses them to try one root edge per orbit, and imports this module
-only when a root needs it, so that `import cak` does not compile it.
+mode uses them at the root, and imports this module only when a root
+needs it, so that `import cak` does not compile it: an all-gray root
+looks for a mirror strategy among their products before any edge, and
+a root that finds none, or whose first edge has lost, tries one edge
+per orbit.
 """
 
 from __future__ import annotations
 
 from ..graph import ColoredGraph
+
+MIRROR_SEARCH = 64  # products of the maps that mirror tries, the identity included
 
 
 def automorphisms(g: ColoredGraph) -> tuple[list[dict[int, int]], dict[int, int]]:
@@ -81,3 +86,30 @@ def automorphisms(g: ColoredGraph) -> tuple[list[dict[int, int]], dict[int, int]
                     orbit.append(image[k])
     ems = list(at)
     return maps, {em: ems[lead[j]] for em, j in at.items()}
+
+
+def mirror(g: ColoredGraph, maps: list[dict[int, int]]) -> dict[int, int] | None:
+    """An involution sigma that moves every vertex with an edge and joins
+    none to its image, among the first MIRROR_SEARCH products of maps
+    (automorphisms of g) found breadth first; or None. When both sides
+    play the same edges, sigma is the second player's winning strategy
+    (Tweedledum and Tweedledee): the reply sigma(e) to a move e is an
+    edge disjoint from e, so it is still there, and it leaves the
+    position sigma-symmetric again. The search is not complete: a sigma
+    that is no product of so few maps is missed."""
+    nbrs = g.neighbor_masks()
+    verts = [v for v in range(g.n) if nbrs[v]]
+    steps = [tuple(s.get(v, v) for v in range(g.n)) for s in maps]
+    queue = [tuple(range(g.n))]  # each product as its image of every vertex
+    seen = set(queue)
+    for x in queue:
+        if all(x[v] != v and x[x[v]] == v and not nbrs[v] >> x[v] & 1 for v in verts):
+            return {v: x[v] for v in verts}
+        for s in steps:
+            if len(seen) == MIRROR_SEARCH:
+                break
+            y = tuple(map(s.__getitem__, x))  # x, then s
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return None

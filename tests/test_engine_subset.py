@@ -22,8 +22,8 @@ from cak import (
     solve_vc,
 )
 from cak.engines.common import playable_edges
-from cak.engines.symmetry import automorphisms
-from cak.graph import bits, induced_mask
+from cak.engines.symmetry import automorphisms, mirror
+from cak.graph import Color, bits, induced_mask
 
 from _oracles import build, full_count_oracle, random_lettered_edges
 
@@ -128,7 +128,8 @@ def test_root_orbit_counts(board, first, orbits, edges):
 
 def test_matches_naive_on_symmetric_families():
     """The root skips an edge when an edge of its orbit lost, which the
-    random graphs above almost never allow; these families do."""
+    random graphs above almost never allow; these families do, and their
+    gray members often stop at a mirror strategy instead."""
     rng = random.Random(8)
     graphs = list(symmetric_families())
     graphs += [random_regular(rng, 8, 3, "g") for _ in range(20)]
@@ -138,6 +139,88 @@ def test_matches_naive_on_symmetric_families():
         for turn in (Player.B, Player.W):
             out, want = solve_subset(g, turn), solve_naive(g, turn)
             assert (out.winner, out.winning_move) == (want.winner, want.winning_move)
+
+
+def test_mirror_roots_lose_for_the_mover():
+    """Wherever an all-gray root finds a mirror strategy, the naive
+    search agrees that the mover loses, whichever side moves, and subset
+    stops at the root. Each sigma is checked here without symmetry's
+    code: an automorphism of g, an involution, no vertex with an edge
+    fixed and no edge {v, sigma(v)}. The graphs: the gray symmetric
+    families, two copies of random gray graphs and Cram boards of at
+    most 16 cells."""
+    rng = random.Random(35)
+    graphs = [g for g in symmetric_families() if all(c is Color.GRAY for *_, c in g.edges)]
+    for _ in range(150):
+        n = rng.randrange(1, 9)
+        perm = list(range(2 * n))
+        rng.shuffle(perm)
+        g = build(n, random_lettered_edges(rng, n, rng.choice([0.3, 0.5]), "g"))
+        graphs.append(two_copies(g, rng.choice([None, perm])))
+    graphs += [gen_grid(r, c) for r in range(1, 17) for c in range(1, 16 // r + 1)]
+    fired = 0
+    for g in graphs:
+        sigma = mirror(g, automorphisms(g)[0])
+        if sigma is None:
+            continue
+        fired += 1
+        pairs = {(u, v) for u, v, _ in g.edges}
+        assert sorted(sigma) == sorted(sigma.values()) == sorted({v for e in pairs for v in e})
+        assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in pairs} == pairs
+        for v, w in sigma.items():
+            assert w != v and sigma[w] == v and (min(v, w), max(v, w)) not in pairs
+        for turn in (Player.B, Player.W):
+            assert solve_naive(g, turn).winner is turn.opponent
+            out = solve_subset(g, turn)
+            assert (out.winner, out.winning_move, counters(out.stats)) == (turn.opponent, None, (1, 0, 1))
+    assert fired >= 150
+
+
+def test_mirror_needs_a_disjoint_image_of_every_edge():
+    """K2's one swap and P4's reversal each map an edge to itself, so no
+    mirror applies, and the mover wins both."""
+    for g in (build(2, [(0, 1, "g")]), build(4, [(0, 1, "g"), (1, 2, "g"), (2, 3, "g")])):
+        maps = automorphisms(g)[0]
+        assert maps and mirror(g, maps) is None
+        assert solve_subset(g, Player.B).winner is Player.B
+
+
+@pytest.mark.parametrize(
+    "board, first, want",
+    [
+        ((4, 5, "cram"), Player.B, (Player.B, (5, 10), (17966, 11937, 6029))),
+        ((4, 5, "cram"), Player.W, (Player.W, (5, 10), (17966, 11937, 6029))),
+        ((3, 7, "cram"), Player.B, (Player.B, (3, 10), (34422, 23673, 10749))),
+        ((3, 7, "cram"), Player.W, (Player.W, (3, 10), (34422, 23673, 10749))),
+        ((4, 6, "domineering"), Player.B, (Player.B, (8, 14), (7295, 3148, 4147))),
+        ((4, 6, "domineering"), Player.W, (Player.W, (1, 2), (10767, 4901, 5866))),
+        ((4, 4, "cram"), Player.B, (Player.W, None, (1, 0, 1))),
+        ((4, 4, "cram"), Player.W, (Player.B, None, (1, 0, 1))),
+        ((4, 6, "cram"), Player.B, (Player.W, None, (1, 0, 1))),
+    ],
+    ids=["cram4x5-B", "cram4x5-W", "cram3x7-B", "cram3x7-W", "dom4x6-B", "dom4x6-W"]
+    + ["cram4x4-B", "cram4x4-W", "cram4x6-B"],
+)
+def test_root_symmetry_stats(board, first, want):
+    """Cram 4x5 and 3x7 map their centre domino onto itself under every
+    symmetry, so no mirror applies, and Domineering is partizan: these
+    keep the triples of the root that tries one edge per orbit. Cram 4x4
+    and 4x6 are lost to the 180-degree rotation at the root (4x6 took
+    179,447 / 128,298 / 51,149 without it)."""
+    out = solve_subset(gen_grid(*board), first)
+    assert (out.winner, out.winning_move, counters(out.stats)) == want
+
+
+def test_mirror_is_the_half_turn_on_cram_4x6():
+    g = gen_grid(4, 6)
+    assert mirror(g, automorphisms(g)[0]) == {v: 23 - v for v in range(24)}
+
+
+def test_count_mode_takes_no_mirror():
+    """Count mode evaluates every child, so a mirror root still counts
+    its whole tree."""
+    for first in (Player.B, Player.W):
+        assert counters(count_subset_positions(gen_grid(4, 4), first)) == (28557, 24291, 4266)
 
 
 @pytest.mark.parametrize(

@@ -167,6 +167,8 @@ def test_default_key_is_the_alive_mask(engine, solve, count, modes):
         [
             (subset_engine, "_edge_sides", solve_subset),
             (symmetry, "automorphisms", solve_subset),
+            (symmetry, "mirror", solve_subset),
+            (symmetry, "automorphisms", solve_subset, gen_grid(4, 5, "domineering"), Player.W),
             (subset_engine, "_edge_sides", count_subset_positions),
         ],
         [(vc_engine._CoverSearch, "__init__", run) for run in (solve_vc, count_vc_positions)],
@@ -178,11 +180,13 @@ def test_setup_counts_in_elapsed(setups):
     """elapsed runs from before the engine's set-up, not from the first
     node: a set-up slowed by 20 ms shows in it, in both modes, and
     setup_s reports that share of it. Each entry names the set-up one
-    mode runs and the function that runs it. On the 2x3 board the first
-    root edge, (0, 1), loses, so subset's solve mode also computes the
-    root's edge orbits, and that time is set-up too."""
-    g = gen_grid(2, 3)
-    for owner, name, run in setups:
+    mode runs, the function that runs it and, unless it is Cram 2x3 with
+    B first, the position. subset's solve mode computes the root's
+    automorphisms before any edge on the all-gray 2x3 board, and looks
+    for a mirror strategy among them, and on Domineering 4x5 with W first, a partizan
+    root, once its first edge, (0, 1), has lost; both are set-up too."""
+    for owner, name, run, *position in setups:
+        g, first = position or (gen_grid(2, 3), Player.B)
         setup = getattr(owner, name)
 
         def slow(*args, setup=setup):
@@ -190,7 +194,7 @@ def test_setup_counts_in_elapsed(setups):
             return setup(*args)
 
         with patch.object(owner, name, slow):
-            result = run(g, Player.B)
+            result = run(g, first)
             stats = getattr(result, "stats", result)
             assert 0.02 <= stats.setup_s <= stats.elapsed
 
