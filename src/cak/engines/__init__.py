@@ -7,7 +7,7 @@ subset  memo on the set of remaining edges: positions that differ only
 vc      memo on cover-class keys, moves thinned to representatives
 nd      memo on the alive mask; each module's survivors are its highest
         members, so the mask is canonical
-tree    Sprague-Grundy on gray forests, canonical-form memo
+tree    Sprague-Grundy on gray forests, memo by vertex set, then rooted shape id
 auto    tree, vc if tau <= VC_THRESHOLD, nd if nu < n (twins exist), else subset
 
 vc and nd share one memoized search (common.search) and differ only in

@@ -10,8 +10,9 @@ of one rooted shape arising anywhere in the search share one evaluation.
 Only the root position is split into components. Expanding a component
 is one rooted BFS and a rerooting over it: each subtree and each part
 above a vertex is a part some move leaves, evaluated once, and a move's
-value is four XORs of per-vertex values. `tree_component_code` decodes
-the same ids into the centroid-rooted AHU string.
+value is four XORs of per-vertex values. The same move values give the
+solve-mode root its winning edge. `tree_component_code` decodes the same
+ids into the centroid-rooted AHU string.
 
 Also counts, for a rooted tree, how many non-isomorphic rooted subtrees
 survive at the root under play-like removals: matchings whose matched
@@ -169,21 +170,14 @@ def _move_values(
     return [xor[v] ^ xor[parent[v]] ^ val[v] ^ up[parent[v]] for v in order[1:]], parts
 
 
-def _parts_left(comp: int, shapes: tuple, p: int, v: int) -> list[tuple[int, Optional[int]]]:
-    """(mask, id) of each part playing (p, v) leaves, v a child of p; the part above p is 0 at the root."""
-    _, _, kids, sub, down, _, above = shapes
-    return [(comp & ~sub[p], above.get(p))] + [(sub[c], down[c]) for c in kids[v] + kids[p] if c != v]
-
-
 def _forest_search(
     g: ColoredGraph, solve: bool
 ) -> tuple[int, Optional[tuple[int, int]], SearchStats]:
     """Value of the forest position g and, with solve and a nonzero value,
     the smallest edge to a child of value zero. A component is probed by
     vertex set, then by its shape id, and its moves are valued when both
-    miss; in solve mode the root's children are its components' moves.
-    The callers probe by vertex set, so a memo hit costs no call, and a
-    move nests exactly two calls (evaluate, then `_move_values`)."""
+    miss. The callers probe by vertex set, so a memo hit costs no call, and
+    a move nests exactly two calls (evaluate, then `_move_values`)."""
     t0 = perf_counter()
     nbr = g.neighbor_masks()
     comps = check_gray_forest(g)
@@ -191,50 +185,46 @@ def _forest_search(
     by_mask: dict[int, int] = {}  # component mask -> value
     by_key: dict[int, int] = {}  # rooted shape id -> value
     ids: dict[tuple[int, ...], int] = {}  # children's shape ids -> shape id
+    moves: dict[int, list[int]] = {}  # expanded root component -> its moves' values
     nodes = len(comps)  # a visit per root component, then per part left
 
     def evaluate(comp: int, key: int, shapes: Optional[tuple] = None) -> int:
         """Value of a component that missed by vertex set; shapes are its
-        `_shapes`, built here if not given."""
+        `_shapes`, given only for a root component, built here if not."""
         nonlocal nodes
         value = by_key.get(key)
         if value is None:
-            shapes = shapes or _shapes(comp, nbr, ids)
-            values, parts = _move_values(comp, shapes, by_mask, evaluate)
+            values, parts = _move_values(comp, shapes or _shapes(comp, nbr, ids), by_mask, evaluate)
             nodes += parts
             value = by_key[key] = mex(values)
+            if shapes:
+                moves[comp] = values
         by_mask[comp] = value
         return value
 
     roots: dict[int, tuple] = {}  # root component -> its _shapes
     value = 0
-    move = None
+    wins: list[tuple[int, int]] = []
     with recursion_capacity():
         for comp in comps:  # keyed by the smaller of its centroid-rooted ids
             shapes = roots[comp] = _shapes(comp, nbr, ids)
             value ^= evaluate(comp, min(_centroids(shapes, ids)), shapes)
         if solve and value:
-            # A move in comp leaves a zero child iff its parts XOR to rest,
-            # the value of the other root components. Edges come in (u, v)
-            # order and stop at the first such move; a root component that
-            # hit by shape id has its parts valued only up to there.
+            # A move in comp leaves a zero child iff its value is rest, the
+            # value of the other root components. A root component that hit
+            # by shape id has its moves valued here, its parts probed.
             for comp, shapes in roots.items():
+                values = moves.get(comp)
+                if values is None:
+                    values, parts = _move_values(comp, shapes, by_mask, evaluate)
+                    nodes += parts
                 rest = value ^ by_mask[comp]
-                for u, w, _ in (e for e in g.edges if comp >> e[0] & 1):
-                    p, v = (u, w) if shapes[1][w] == u else (w, u)
-                    total = 0
-                    for part, key in _parts_left(comp, shapes, p, v):
-                        if part & (part - 1):
-                            nodes += 1
-                            known = by_mask.get(part)
-                            total ^= evaluate(part, key) if known is None else known
-                    if total == rest:
-                        move = min(move or (u, w), (u, w))
-                        break
+                order, parent = shapes[:2]
+                wins += [(min(parent[v], v), max(parent[v], v)) for v, x in zip(order[1:], values) if x == rest]
     # Every miss stores one new key (its moves reach only smaller
     # components), so the visits that are not misses are the memo hits.
     keys = len(by_key)
-    return value, move, SearchStats(nodes, nodes - keys, keys, perf_counter() - t0, setup_s)
+    return value, min(wins, default=None), SearchStats(nodes, nodes - keys, keys, perf_counter() - t0, setup_s)
 
 
 def grundy_tree(g: ColoredGraph) -> int:

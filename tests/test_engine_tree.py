@@ -20,7 +20,7 @@ from cak import (
 )
 import cak.engines.tree as tree_engine
 from cak.engines.common import split_components
-from cak.engines.tree import _move_values, _parts_left, _shapes, check_gray_forest, tree_component_code
+from cak.engines.tree import _move_values, _shapes, check_gray_forest, tree_component_code
 from cak.graph import bits, induced_mask
 
 from _oracles import (
@@ -132,17 +132,36 @@ def test_solver_matches_subset_on_random_trees():
             assert solve_tree(g, turn).winner is solve_subset(g, turn).winner
 
 
+def copies(rng, pairs, n, k):
+    """k disjoint copies of the tree pairs on n vertices: the first on
+    0..n-1 as given, copy i relabeled at random onto i*n..(i+1)*n-1."""
+    shifted = [[(u + i * n, v + i * n) for u, v in relabeled(rng, n, pairs)] for i in range(1, k)]
+    return gray_tree(sum(shifted, pairs), n * k)
+
+
 def test_solver_move_contract():
+    # The winning move is the smallest edge whose child has value zero,
+    # and there is none exactly when the position has value zero. In the
+    # last case, two paths of four and one edge (value 2 ^ 2 ^ 1), the
+    # only winning move is the edge 1-2. It is not the first component,
+    # and the first path's end moves leave an edge, so it hits by shape
+    # id and is never expanded in the value pass: two keys in all.
     rng = random.Random(52)
-    for _ in range(25):
-        g = random_forest(rng, rng.randrange(2, 12))
-        out = solve_tree(g, Player.B)
-        if out.winner is Player.B:
-            u, v = out.winning_move
-            assert grundy_tree(remove_closed_edge(g, (u, v))) == 0
-        else:
-            assert out.winning_move is None
-            assert grundy_tree(g) == 0
+    cases = [g for g in shape_cases() if g.n <= 13]
+    cases += [random_forest(rng, rng.randrange(2, 14)) for _ in range(25)]
+    for _ in range(10):
+        n = rng.randrange(2, 7)
+        cases.append(copies(rng, random_tree_pairs(rng, n), n, rng.randrange(2, 13 // n + 1)))
+    lone_edge = gray_tree([(0, 3), (3, 4), (4, 5), (1, 2), (6, 7), (7, 8), (8, 9)])
+    out = solve_tree(lone_edge, Player.B)
+    assert (out.winning_move, out.stats.distinct_keys) == ((1, 2), 2)
+    for g in [*cases, lone_edge]:
+        wins = [(u, v) for u, v, _ in g.edges if grundy_naive(remove_closed_edge(g, (u, v))) == 0]
+        for turn in Player:
+            out = solve_tree(g, turn)
+            assert out.winning_move == min(wins, default=None), g.edges
+            assert (out.winning_move is None) == (grundy_naive(g) == 0)
+            assert out.winner is (turn if wins else turn.opponent)
 
 
 def test_memo_reuses_isomorphic_components():
@@ -158,6 +177,28 @@ def test_memo_reuses_isomorphic_components():
         out = solve_tree(g, Player.B)
         assert out.stats.memo_hits >= 1
         assert grundy_tree(g) == 0
+    # Copies of one 12-vertex tree: in grundy mode, and in a solve of an
+    # even number of copies (value 0), each further copy is one memo hit.
+    # With an odd number the mover wins and every copy's moves are
+    # valued, but from parts already keyed: no key is added.
+    rng = random.Random(5)
+    pairs = random_tree_pairs(rng, 12)
+    one = tree_engine._forest_search(gray_tree(pairs, 12), solve=False)[2]
+    for k in (2, 4, 6):
+        forest = copies(rng, pairs, 12, k)
+        grundy = tree_engine._forest_search(forest, solve=False)[2]
+        solved = solve_tree(forest, Player.B)
+        assert solved.winning_move is None
+        for s in (grundy, solved.stats):
+            assert (s.node_expansions, s.memo_hits, s.distinct_keys) == (
+                one.node_expansions + k - 1, one.memo_hits + k - 1, one.distinct_keys,
+            )
+    for k in (1, 3, 5):
+        out = solve_tree(copies(rng, pairs, 12, k), Player.B)
+        s = out.stats
+        assert out.winner is Player.B
+        assert s.node_expansions == s.memo_hits + s.distinct_keys
+        assert s.distinct_keys == one.distinct_keys
 
 
 def test_canonical_codes_count_unlabeled_trees():
@@ -318,31 +359,6 @@ def test_down_and_above_ids_match_rooted_shapes():
             assert id_of.setdefault(want, sid) == sid
 
 
-def test_solve_pass_parts_match_split_components():
-    # the solve-mode root pass lists each move's parts itself: they must
-    # be the components of the child, each id its rooted shape where it
-    # hangs off the played edge, equal ids iff equal shapes across graphs
-    ids, shape_of, id_of = {}, {}, {}
-    for g in shape_cases():
-        nbr = g.neighbor_masks()
-        pairs = [(u, v) for u, v, _ in g.edges]
-        for comp, shapes in component_shapes(g, ids):
-            order, parent = shapes[:2]
-            for v in order[1:]:
-                p = parent[v]
-                parts = [(part, sid) for part, sid in _parts_left(comp, shapes, p, v) if part]
-                child = comp & ~(1 << p | 1 << v)
-                assert sum(part for part, _ in parts) == child, (g.edges, p, v)
-                big = sorted(part for part, _ in parts if part & (part - 1))
-                assert big == sorted(split_components(child, nbr)), (g.edges, p, v)
-                for part, sid in parts:
-                    hang = part & (nbr[p] | nbr[v])
-                    assert hang and not hang & (hang - 1)
-                    want = rooted_shape_oracle(g.n, pairs, hang.bit_length() - 1, set(bits(part)))
-                    assert shape_of.setdefault(sid, want) == want
-                    assert id_of.setdefault(want, sid) == sid
-
-
 def test_each_shape_id_has_one_canonical_code():
     rng = random.Random(131)
     cases = [*shape_cases(), *(random_forest(rng, rng.randrange(2, 40)) for _ in range(40))]
@@ -377,8 +393,8 @@ def test_search_never_calls_tree_component_code(monkeypatch):
 
 
 def test_each_search_splits_the_position_once(monkeypatch):
-    # only the root position is split; in solve mode the root's children
-    # are read off its components' moves, not split again
+    # only the root position is split; in solve mode the root's winning
+    # edge is read off its components' move values, no child is split
     calls = []
 
     def counting(mask, nbr):
@@ -419,18 +435,22 @@ def test_canonical_code_of_a_long_path_needs_no_recursion():
 @pytest.mark.parametrize(
     "g, turn, stats, move",
     [
-        (gen_caterpillar_kayles(10), Player.B, (169, 159, 10), (1, 11)),
-        (gen_caterpillar_kayles(20), Player.B, (759, 739, 20), (9, 10)),
-        (gray_path(30), Player.W, (733, 705, 28), (14, 15)),
-        (gray_tree(random_tree_pairs(random.Random(1), 28)), Player.B, (5799, 5545, 254), (6, 13)),
-        (gray_tree(random_tree_pairs(random.Random(1), 28)), Player.W, (5799, 5545, 254), (6, 13)),
+        # The root's winning edge is read off the move values that its
+        # components' expansions already found, so no move's parts are
+        # probed again: was (169, 159, 10), (759, 739, 20), (733, 705, 28)
+        # and (5799, 5545, 254).
+        (gen_caterpillar_kayles(10), Player.B, (163, 153, 10), (1, 11)),
+        (gen_caterpillar_kayles(20), Player.B, (723, 703, 20), (9, 10)),
+        (gray_path(30), Player.W, (705, 677, 28), (14, 15)),
+        (gray_tree(random_tree_pairs(random.Random(1), 28)), Player.B, (5758, 5504, 254), (6, 13)),
+        (gray_tree(random_tree_pairs(random.Random(1), 28)), Player.W, (5758, 5504, 254), (6, 13)),
         # five components; the winning move lies outside the first one.
-        # The root's children are read off its components' moves, which
-        # counts only the parts of each probed move (the other components
-        # are not revisited), and a root component whose centroid-rooted
-        # shape a part already had hits by key: was (152, 133, 19).
-        (random_forest(random.Random(7), 30), Player.B, (115, 98, 17), (3, 23)),
-        (random_forest(random.Random(7), 30), Player.W, (115, 98, 17), (3, 23)),
+        # A root component whose centroid-rooted shape a part already had
+        # hits by key, and only its moves are valued again, each part
+        # probed once per move; the expanded components' moves are read
+        # off their values: was (115, 98, 17), before that (152, 133, 19).
+        (random_forest(random.Random(7), 30), Player.B, (95, 78, 17), (3, 23)),
+        (random_forest(random.Random(7), 30), Player.W, (95, 78, 17), (3, 23)),
     ],
     ids=[
         "caterpillar-10", "caterpillar-20", "path-30", "random-28-B", "random-28-W",
